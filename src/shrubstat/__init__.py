@@ -36,6 +36,7 @@ from .counts import (
 from .kreweras import (
     RowLabeling,
     Step,
+    count_paths,
     enumerate_paths,
     extension_from_rows,
     is_valid_path,
@@ -85,6 +86,7 @@ __all__ = [
     "build_lex_poset",
     "closed_form_gf",
     "count_linear_extensions",
+    "count_paths",
     "enumerate_forests",
     "enumerate_linear_extensions",
     "enumerate_paths",

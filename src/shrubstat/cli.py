@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import counts, forests, kreweras, posets, series
 from .errors import GuardExceeded
@@ -50,12 +50,13 @@ _GUARDS = {
 
 def _guard(name: str) -> int:
     env = os.environ.get("SHRUBSTAT_MAX_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"SHRUBSTAT_MAX_N must be an integer, got {env!r}")
-    return _GUARDS[name]
+    if env is None:
+        return _GUARDS[name]
+    if not env.strip().isdecimal():
+        raise ValueError(
+            f"SHRUBSTAT_MAX_N must be a non-negative integer, got {env!r}"
+        )
+    return int(env)
 
 
 def _check_guard(args, name: str, n: int) -> bool:
@@ -88,6 +89,11 @@ def _emit(args, command: str, params: dict, payload, status: str) -> None:
             print(line)
         if status == "fail":
             print("FAIL")
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Print each line as it is produced, so a listing is never held whole."""
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _text_lines(payload) -> list[str]:
@@ -159,16 +165,20 @@ def cmd_verify(args) -> int:
 def cmd_paths(args) -> int:
     if not _check_guard(args, "paths", args.n):
         return EXIT_USAGE
-    stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
     params = {"n": args.n, "list": bool(args.list)}
     if args.list:
-        payload = [kreweras.path_word(p) for p in stream]
+        stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
+        words = map(kreweras.path_word, stream)
         if args.format == "text":
-            for word in payload:
-                print(word)
+            _write_lines(words)
             return EXIT_OK
+        if args.format == "csv":  # one row holding every walk
+            sys.stdout.writelines("," + w if i else w for i, w in enumerate(words))
+            sys.stdout.write("\n")
+            return EXIT_OK
+        payload = list(words)
     else:
-        payload = [str(sum(1 for _ in stream))]
+        payload = [str(kreweras.count_paths(args.n))]
     _emit(args, "paths", params, payload, "ok")
     return EXIT_OK
 
@@ -234,12 +244,12 @@ def cmd_extensions(args) -> int:
     if args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
     else:
-        payload = [
-            [str(v) for v in labeling]
-            for labeling in posets.enumerate_linear_extensions(
-                poset, max_size=poset.size
-            )
-        ]
+        labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
+        if args.format != "json":
+            sep = "," if args.format == "csv" else "  "
+            _write_lines(sep.join(map(str, labeling)) for labeling in labelings)
+            return EXIT_OK
+        payload = [[str(v) for v in labeling] for labeling in labelings]
     _emit(args, "extensions", params, payload, "ok")
     return EXIT_OK
 
@@ -371,6 +381,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: exact arithmetic failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

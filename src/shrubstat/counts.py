@@ -53,7 +53,8 @@ def ibf(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     value, rem = divmod(factorial(3 * n), 3**n * factorial(n))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"IBF({n}) is not an integer")
     return value
 
 
@@ -64,7 +65,8 @@ def ilf(n: int) -> int:
     value, rem = divmod(
         4**n * factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1)
     )
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"ILF({n}) is not an integer")
     return value
 
 

@@ -15,6 +15,7 @@ each other exhaustively in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -122,6 +123,30 @@ def enumerate_paths(
     yield from rec(ne, w, s)
 
 
+def count_paths(n: int) -> int:
+    """Number of walks :func:`enumerate_paths` yields, without listing them.
+
+    Counts prefixes step by step, keyed by their step counts (ne, w, s);
+    the prefix condition is the same as in the enumeration.  It does not
+    use the closed form :func:`shrubstat.counts.ilf`, so the two check
+    each other.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    layer = Counter({(0, 0, 0): 1})
+    for _ in range(3 * n):
+        nxt: Counter[tuple[int, int, int]] = Counter()
+        for (ne, w, s), ways in layer.items():
+            if ne < n:
+                nxt[ne + 1, w, s] += ways
+            if w < ne:
+                nxt[ne, w + 1, s] += ways
+            if s < ne:
+                nxt[ne, w, s + 1] += ways
+        layer = nxt
+    return layer[n, n, n]
+
+
 @dataclass(frozen=True)
 class RowLabeling:
     """A three-row grid labeling: rows increase left to right and each
@@ -161,7 +186,8 @@ def path_from_rows(rows: RowLabeling) -> Path:
     for label in rows.bottom:
         row_of[label] = Step.S
     path = tuple(row_of[i] for i in range(1, 3 * n + 1))
-    assert is_valid_path(path), "grid constraints guarantee a valid walk"
+    if not is_valid_path(path):
+        raise ArithmeticError(f"rows read off an invalid walk: {path_word(path)}")
     return path
 
 

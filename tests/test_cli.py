@@ -94,6 +94,11 @@ def test_verify_guard(capsys, monkeypatch):
     monkeypatch.setenv("SHRUBSTAT_MAX_N", "3")
     code, _, _ = run(capsys, "verify", "--stat", "ris", "--max-n", "3")
     assert code == 0
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("SHRUBSTAT_MAX_N", bad)
+        code, out, err = run(capsys, "verify", "--stat", "ris", "--max-n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: SHRUBSTAT_MAX_N")
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):
@@ -118,6 +123,41 @@ def test_paths(capsys):
     assert json.loads(out)["payload"] == ["NWS", "NSW"]
     code, _, err = run(capsys, "paths", "--n", "7")
     assert code == 2 and "guard" in err
+
+
+# labelings of family A at n = 2, one string of labels per line
+A2_LABELINGS = (
+    "123456 123465 124356 124365 125364 132456 132465 134256 134265 135264 "
+    "142356 142365 143256 143265 145263 152346 152364 153246 153264 154263 "
+    "162345 162354 163245 163254 164253 234156 234165 235164 243156 243165 "
+    "245163 253146 253164 254163 263145 263154 264153 345162 354162 364152"
+).split()
+PATHS_2 = (
+    "NNWWSS NNWSWS NNWSSW NNSWWS NNSWSW NNSSWW NWNWSS NWNSWS "
+    "NWNSSW NWSNWS NWSNSW NSNWWS NSNWSW NSNSWW NSWNWS NSWNSW"
+).split()
+
+
+def test_list_output_is_unchanged_by_streaming(capsys):
+    listing = ("extensions", "--family", "A", "--n", "2", "--mode", "list")
+    code, out, _ = run(capsys, *listing)
+    assert code == 0
+    assert out == "".join("  ".join(row) + "\n" for row in A2_LABELINGS)
+    code, out, _ = run(capsys, *listing, "--format", "csv")
+    assert out == "".join(",".join(row) + "\n" for row in A2_LABELINGS)
+    code, out, _ = run(capsys, "paths", "--n", "2", "--list")
+    assert code == 0 and out == "\n".join(PATHS_2) + "\n"
+    code, out, _ = run(capsys, "paths", "--n", "2", "--list", "--format", "csv")
+    assert code == 0 and out == ",".join(PATHS_2) + "\n"
+
+
+def test_arithmetic_error_exits_1(capsys, monkeypatch):
+    from shrubstat import counts
+
+    monkeypatch.setattr(counts, "factorial", lambda m: 1)
+    code, out, err = run(capsys, "seq", "--name", "IBF", "--count", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "IBF(1)" in err
 
 
 def test_bijection(capsys):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -21,6 +24,7 @@ from shrubstat import (
     shrub_less,
     within_shrub_rises,
 )
+from shrubstat import forests
 from shrubstat.counts import eulerian_poly
 
 from golden import EXAMPLE_TRIPLES, EXAMPLE_WORD
@@ -231,6 +235,34 @@ def test_sweep_matches_naive_path():
     for n in (1, 2, 3):
         for kind in RiseKind:
             assert rise_distribution(kind, n) == naive_distribution(kind, n)
+
+
+def test_sweep_visits_every_forest_at_n4():
+    # each histogram of the n = 4 sweep counts every forest exactly once
+    dists = forests._distributions(4)
+    assert sorted(dists) == sorted(kind.value for kind in RiseKind)
+    assert all(sum(hist) == forest_count(4) == 5913600 for hist in dists.values())
+
+
+def test_exactness_check_raises_even_under_optimisation(monkeypatch):
+    monkeypatch.setattr(forests, "factorial", lambda m: 1)
+    with pytest.raises(ArithmeticError):
+        forest_count(2)
+    # the same check in a fresh interpreter that strips assert statements
+    script = (
+        "import shrubstat.forests as f\n"
+        "f.factorial = lambda m: 1\n"
+        "try:\n"
+        "    f.forest_count(2)\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(forests.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    if proc.returncode != 0:
+        pytest.fail(f"forest_count under -O exited {proc.returncode}")
 
 
 def test_min_rise_count():

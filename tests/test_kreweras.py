@@ -7,6 +7,7 @@ from shrubstat import (
     RowLabeling,
     Step,
     build_lex_poset,
+    count_paths,
     enumerate_linear_extensions,
     enumerate_paths,
     extension_from_rows,
@@ -49,6 +50,14 @@ def test_enumerate_paths_small():
 def test_enumerate_paths_counts_match_formula():
     for n in (1, 2, 3, 4):
         assert sum(1 for _ in enumerate_paths(n)) == ilf(n)
+
+
+def test_count_paths_matches_enumeration_and_formula():
+    for n in range(6):
+        assert count_paths(n) == sum(1 for _ in enumerate_paths(n))
+    assert all(count_paths(n) == ilf(n) for n in range(1, 31))
+    with pytest.raises(ValueError):
+        count_paths(-1)
 
 
 def test_enumerate_paths_order_and_validity():

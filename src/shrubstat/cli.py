@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable, Sequence
 
 from . import counts, forests, kreweras, posets, series
@@ -91,9 +92,22 @@ def _emit(args, command: str, params: dict, payload, status: str) -> None:
             print("FAIL")
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Print each line as it is produced, so a listing is never held whole."""
-    sys.stdout.writelines(line + "\n" for line in lines)
+#: Lines per write call of a streamed listing.
+_BATCH = 4096
+
+
+def _write_lines(lines: Iterable[str], sep: str = "\n") -> None:
+    """Write the lines joined by sep and ended by a newline, as they are
+    produced: one write call per batch of lines, so a listing is never
+    held whole and the stream's per-call cost is paid per batch."""
+    write = sys.stdout.write
+    it = iter(lines)
+    lead = ""
+    while batch := list(islice(it, _BATCH)):
+        write(lead + sep.join(batch))
+        lead = sep
+    if lead:
+        write("\n")
 
 
 def _text_lines(payload) -> list[str]:
@@ -169,12 +183,8 @@ def cmd_paths(args) -> int:
     if args.list:
         stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
         words = map(kreweras.path_word, stream)
-        if args.format == "text":
-            _write_lines(words)
-            return EXIT_OK
-        if args.format == "csv":  # one row holding every walk
-            sys.stdout.writelines("," + w if i else w for i, w in enumerate(words))
-            sys.stdout.write("\n")
+        if args.format != "json":  # csv: one row holding every walk
+            _write_lines(words, "," if args.format == "csv" else "\n")
             return EXIT_OK
         payload = list(words)
     else:
@@ -247,7 +257,10 @@ def cmd_extensions(args) -> int:
         labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
         if args.format != "json":
             sep = "," if args.format == "csv" else "  "
-            _write_lines(sep.join(map(str, labeling)) for labeling in labelings)
+            names = [str(label) for label in range(poset.size + 1)]
+            _write_lines(
+                sep.join([names[v] for v in labeling]) for labeling in labelings
+            )
             return EXIT_OK
         payload = [[str(v) for v in labeling] for labeling in labelings]
     _emit(args, "extensions", params, payload, "ok")
@@ -384,6 +397,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: exact arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except RecursionError as exc:  # the enumerations and the DP recurse per element
+        print(f"error: n is too large for this command ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -26,9 +26,19 @@ from .errors import GuardExceeded
 #: unless the caller raises the guard.
 DEFAULT_MAX_TRIPLES = 6
 
+# Steps per walk that enumerate_paths takes from its table of
+# completions.  Nine is half a walk at the default guard; a fixed
+# length, not half of every walk, keeps the table small for any n.
+_TAIL_STEPS = 9
 
-class Step(Enum):
-    """One walk step; values are the single-letter word alphabet."""
+
+class Step(str, Enum):
+    """One walk step; values are the single-letter word alphabet.
+
+    Each step is also its letter as a string, so a walk's word is the
+    plain join of its steps.  Steps therefore compare as letters
+    (N < S < W), not in the walk order of :data:`STEP_ORDER`.
+    """
 
     NE = "N"
     W = "W"
@@ -39,10 +49,11 @@ class Step(Enum):
 STEP_ORDER = (Step.NE, Step.W, Step.S)
 
 Path = tuple[Step, ...]
+_Counts = tuple[int, int, int]  # steps (ne, w, s) of each kind so far
 
 
 def path_word(path: Sequence[Step]) -> str:
-    return "".join(step.value for step in path)
+    return "".join(path)
 
 
 def path_from_word(word: str) -> Path:
@@ -80,6 +91,10 @@ def enumerate_paths(
     ``prefix`` restricts the stream to walks starting with the given
     steps; the streams over the possible first steps partition the
     enumeration.
+
+    The last nine steps of each walk (the steps after the prefix, if it
+    is longer) come from a table of completions built during the call,
+    which holds at most 5 769 tails for any n (5 587 at n = 6).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -103,24 +118,49 @@ def enumerate_paths(
     if max(ne, w, s) > n:
         return
 
-    def rec(ne: int, w: int, s: int) -> Iterator[Path]:
-        if len(steps) == 3 * n:
-            yield tuple(steps)
-            return
+    # The walks after a prefix depend only on its step counts, so the
+    # tail of every walk comes from a table of completions per
+    # (ne, w, s), filled on first use; the head is walked step by step.
+    total = 3 * n
+    split = max(len(steps), total - _TAIL_STEPS)
+    tails: dict[_Counts, list[Path]] = {}
+
+    def moves(ne: int, w: int, s: int) -> Iterator[tuple[Step, _Counts]]:
+        """Each step allowed after a prefix with these counts, in step
+        order, with the counts after it."""
         if ne < n:
-            steps.append(Step.NE)
-            yield from rec(ne + 1, w, s)
-            steps.pop()
+            yield Step.NE, (ne + 1, w, s)
         if w < ne:  # w + 1 <= ne keeps the prefix condition
-            steps.append(Step.W)
-            yield from rec(ne, w + 1, s)
-            steps.pop()
+            yield Step.W, (ne, w + 1, s)
         if s < ne:
-            steps.append(Step.S)
-            yield from rec(ne, w, s + 1)
+            yield Step.S, (ne, w, s + 1)
+
+    def completions(counts: _Counts) -> list[Path]:
+        found = tails.get(counts)
+        if found is None:
+            if sum(counts) == total:
+                found = [()]
+            else:
+                found = [
+                    (step,) + tail
+                    for step, after in moves(*counts)
+                    for tail in completions(after)
+                ]
+            tails[counts] = found
+        return found
+
+    def rec(counts: _Counts) -> Iterator[Path]:
+        if len(steps) == split:
+            head = tuple(steps)
+            for tail in completions(counts):
+                yield head + tail
+            return
+        for step, after in moves(*counts):
+            steps.append(step)
+            yield from rec(after)
             steps.pop()
 
-    yield from rec(ne, w, s)
+    yield from rec((ne, w, s))
 
 
 def count_paths(n: int) -> int:

@@ -23,7 +23,8 @@ from .errors import GuardExceeded
 #: Counting guard: widest family instance at desk scale has 14 nodes,
 #: and the down-set DP stays cheap well beyond that.
 DEFAULT_MAX_COUNT_SIZE = 24
-#: Enumeration guard (materializes every labeling).
+#: Enumeration guard: the time grows with the number of labelings, and
+#: memory with the largest bucket of them sharing element 0's label.
 DEFAULT_MAX_ENUM_SIZE = 12
 
 
@@ -114,35 +115,57 @@ def enumerate_linear_extensions(
     """Yield every labeling once, sorted lexicographically as label words.
 
     A labeling is the tuple (label of element 0, ..., label of element
-    size-1).
+    size-1).  The labelings are produced one bucket at a time: bucket a
+    holds those that give element 0 the label a, and every labeling in
+    it sorts before those of bucket a+1, so only one bucket is ever
+    held and sorted.
     """
     if poset.size > max_size:
         raise GuardExceeded(
             f"poset has {poset.size} elements; pass max_size={poset.size} "
             "to enumerate it"
         )
-    _successor_masks(poset)  # cycle check
-    preds = [0] * poset.size
+    succs = _successor_masks(poset)
+    size = poset.size
+    if size == 0:
+        yield ()
+        return
+    preds = [0] * size
     for u, v in poset.covers:
         preds[v] |= 1 << u
+    encode = bytes if size < 256 else tuple  # compact, and sorts the same
+    labels = [0] * size
+    bucket: list[bytes | tuple[int, ...]] = []
 
-    results: list[tuple[int, ...]] = []
-    labels = [0] * poset.size
-
-    def place(next_label: int, placed: int) -> None:
-        if next_label > poset.size:
-            results.append(tuple(labels))
+    def place(next_label: int, placed: int, ready: int) -> None:
+        # ready: the unplaced elements whose predecessors are all placed
+        if next_label > size:
+            bucket.append(encode(labels))
             return
-        for v in range(poset.size):
-            if placed & (1 << v) or (preds[v] & placed) != preds[v]:
-                continue
+        # element 0 takes the bucket's label and no other
+        m = ready & 1 if next_label == pinned else ready & ~1
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             labels[v] = next_label
-            place(next_label + 1, placed | (1 << v))
+            now = placed | low
+            after = ready ^ low
+            s = succs[v]
+            while s:
+                bit = s & -s
+                s ^= bit
+                if preds[bit.bit_length() - 1] & ~now == 0:
+                    after |= bit
+            place(next_label + 1, now, after)
         # labels[v] is overwritten on the next use; no cleanup needed
 
-    place(1, 0)
-    results.sort()
-    yield from results
+    minimal = sum(1 << v for v in range(size) if not preds[v])
+    for pinned in range(1, size + 1):
+        place(1, 0, minimal)
+        bucket.sort()
+        yield from map(tuple, bucket)
+        bucket.clear()
 
 
 def _shrub_covers(n: int) -> list[tuple[int, int]]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
-from .counts import iaf, ibf, ilf, itf
+from .counts import iaf, ibf, ilf, itf, within_rise_poly
 from .forests import RiseKind
 from .polynomial import Scalar, XPoly
 
@@ -215,14 +215,6 @@ def _x_minus_one() -> XPoly:
     return XPoly((-1, 1))
 
 
-def _falling_product(n: int) -> XPoly:
-    """prod_{k=1..n} (x + 3k - 2)."""
-    poly = XPoly.one()
-    for k in range(1, n + 1):
-        poly = poly * XPoly((3 * k - 2, 1))
-    return poly
-
-
 _CHAIN_COUNTS = {
     RiseKind.TOTAL: itf,
     RiseKind.BASE: ibf,
@@ -245,11 +237,10 @@ def rise_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
         raise ValueError("shrubs must be >= 1")
     order = 3 * shrubs
     terms: dict[int, XPoly] = {0: XPoly.one()}
-    x = XPoly.x()
     xm1 = _x_minus_one()
     for n in range(1, shrubs + 1):
         if kind is RiseKind.WORD:
-            term = x**n * xm1 ** (n - 1) * _falling_product(n)
+            term = xm1 ** (n - 1) * within_rise_poly(n)
         else:
             term = _CHAIN_COUNTS[kind](n) * xm1 ** (n - 1)
         terms[3 * n] = -term
@@ -282,10 +273,9 @@ def rise_gf_via_fraction(shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     order = 3 * shrubs
     one_minus_x = XPoly((1, -1))
     terms: dict[int, XPoly] = {0: one_minus_x}
-    x = XPoly.x()
     xm1 = _x_minus_one()
     for n in range(1, shrubs + 1):
-        terms[3 * n] = (x * xm1) ** n * _falling_product(n)
+        terms[3 * n] = xm1**n * within_rise_poly(n)
     numerator = EgfSeries(order, {0: one_minus_x})
     return StatGF(RiseKind.WORD.value, numerator.divexact(EgfSeries(order, terms)))
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from shrubstat import XPoly
+from shrubstat import XPoly, enumerate_paths, path_word
 from shrubstat.cli import main
 
 
@@ -149,6 +149,29 @@ def test_list_output_is_unchanged_by_streaming(capsys):
     assert code == 0 and out == "\n".join(PATHS_2) + "\n"
     code, out, _ = run(capsys, "paths", "--n", "2", "--list", "--format", "csv")
     assert code == 0 and out == ",".join(PATHS_2) + "\n"
+
+
+@pytest.mark.parametrize("n", [3, 5])  # 192 walks, and 46 592 over several batches
+def test_walk_listings_match_the_library(capsys, n):
+    words = [path_word(p) for p in enumerate_paths(n)]
+    code, out, _ = run(capsys, "paths", "--n", str(n), "--list", "--format", "csv")
+    assert code == 0 and out == ",".join(words) + "\n"
+    code, out, _ = run(capsys, "paths", "--n", str(n), "--list")
+    assert code == 0 and out == "".join(w + "\n" for w in words)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extensions", "--family", "A", "--n", "400", "--mode", "list"),
+        ("extensions", "--family", "A", "--n", "400", "--mode", "count"),
+        ("paths", "--n", "400", "--list"),
+    ],
+)
+def test_recursion_error_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--force")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "recursion" in err
 
 
 def test_arithmetic_error_exits_1(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shrubstat import (
     GuardExceeded,
@@ -86,6 +88,23 @@ def test_enumerate_paths_guard_and_prefix():
     assert by_prefix == list(enumerate_paths(2))
     with pytest.raises(ValueError):
         list(enumerate_paths(1, prefix=(Step.NE,) * 4))
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(Step), max_size=3 * n))
+    )
+)
+def test_prefix_stream_is_the_filtered_full_stream(case):
+    n, prefix = case
+    q = tuple(prefix)
+    expected = [p for p in enumerate_paths(n) if p[: len(q)] == q]
+    assert list(enumerate_paths(n, prefix=q)) == expected
+
+
+@given(st.lists(st.sampled_from(Step)).map(tuple))
+def test_word_round_trip(path):
+    assert path_from_word(path_word(path)) == path
 
 
 def test_row_labeling_validation():

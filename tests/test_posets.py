@@ -1,4 +1,8 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubstat import (
     GuardExceeded,
@@ -74,6 +78,35 @@ def test_guards():
     with pytest.raises(GuardExceeded):
         list(enumerate_linear_extensions(antichain(13)))
     assert count_linear_extensions(chain(30), max_size=30) == 1
+
+
+@st.composite
+def dags(draw, max_size=7):
+    """Random posets on at most max_size elements; the topological order
+    is a random permutation, so element 0 may have predecessors."""
+    size = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(size)))
+    pairs = [(order[i], order[j]) for i in range(size) for j in range(i + 1, size)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset.from_covers(size, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None)
+@given(dags())
+def test_enumeration_equals_sorted_filtered_permutations(poset):
+    brute = [
+        p
+        for p in permutations(range(1, poset.size + 1))
+        if poset.check_labeling(p)
+    ]
+    assert list(enumerate_linear_extensions(poset)) == brute
+
+
+def test_enumeration_edge_sizes():
+    assert list(enumerate_linear_extensions(Poset.from_covers(0, []))) == [()]
+    assert list(enumerate_linear_extensions(chain(300), max_size=300)) == [
+        tuple(range(1, 301))
+    ]
 
 
 def test_adjacent_family_base_counts():

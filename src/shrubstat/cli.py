@@ -10,6 +10,8 @@ The stable JSON schema is::
      "status": "ok" | "fail"}
 
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
+A reader that closes the output pipe early (``| head``) ends the command
+quietly with exit 0.
 Desk-scale guards are overridden globally by the environment variable
 ``SHRUBSTAT_MAX_N`` or per invocation with ``--force``.
 """
@@ -209,8 +211,9 @@ def cmd_bijection(args) -> int:
     injective = len(set(forward)) == len(extensions)
     onto = set(forward) == walks
     round_trip = all(
-        kreweras.extension_from_rows(kreweras.rows_from_path(p)) in extension_set
-        and kreweras.path_from_rows(kreweras.rows_from_path(p)) == p
+        kreweras.extension_from_rows(rows := kreweras.rows_from_path(p))
+        in extension_set
+        and kreweras.path_from_rows(rows) == p
         for p in walks
     )
     formula = counts.ilf(n)
@@ -387,7 +390,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -400,6 +405,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError as exc:  # the enumerations and the DP recurse per element
         print(f"error: n is too large for this command ({exc})", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader stopped early (``| head``) and what was written is
+        # correct; devnull keeps the exit-time flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

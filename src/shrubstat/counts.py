@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from math import comb, factorial
 
-from .polynomial import XPoly
+from .polynomial import XPoly, egf_coeff
 
 LINEXT_KINDS = ("LA", "LB", "LE", "LS")
 
@@ -113,14 +113,6 @@ def iaf(n: int) -> int:
     return linext_seq("LA", n)
 
 
-def _egf_product(f: list[int], g: list[int], order: int) -> list[int]:
-    """Coefficientwise product in the t**m/m! basis."""
-    return [
-        sum(comb(m, j) * f[j] * g[m - j] for j in range(m + 1))
-        for m in range(order + 1)
-    ]
-
-
 def lb_via_ode(n: int) -> int:
     """LB_n from the power-series solution of B'' = 1 + 3B'B - B**3.
 
@@ -128,16 +120,21 @@ def lb_via_ode(n: int) -> int:
     to second order at 0, so the constant forcing term seeds LB_0 = 1.
     Any nonzero coefficient at an exponent not congruent to 2 mod 3
     would falsify the packing and is a hard error.
+
+    Step m solves for b[m+2] from b[0..m+1].  B**2 is a running list that
+    gains one coefficient per step, so a step costs O(order) and the
+    routine O(order**2).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     order = 3 * n + 2
-    b = [0] * (order + 1)
+    b = [0, 0]
+    bsq: list[int] = []
     for m in range(order - 1):
-        bprime_b = sum(comb(m, j) * b[j + 1] * b[m - j] for j in range(m + 1))
-        bsq = _egf_product(b[: m + 1], b[: m + 1], m)
-        bcube_m = sum(comb(m, j) * bsq[j] * b[m - j] for j in range(m + 1))
-        b[m + 2] = (1 if m == 0 else 0) + 3 * bprime_b - bcube_m
+        bsq.append(egf_coeff(b, b, m))
+        bprime_b = egf_coeff(b[1:], b, m)
+        bcube_m = egf_coeff(bsq, b, m)
+        b.append((1 if m == 0 else 0) + 3 * bprime_b - bcube_m)
     for m, value in enumerate(b):
         if m % 3 != 2 and value != 0:
             raise ArithmeticError(
@@ -171,16 +168,12 @@ def ode_residuals(order: int) -> dict[str, list[int]]:
         raise ValueError("order must be >= 1")
     series = adjacent_chain_egfs(order)
     a, e, s, b = (series[k] for k in ("LA", "LE", "LS", "LB"))
-    es = _egf_product(e, s, order - 1)
-    eb = _egf_product(e, b, order - 1)
-    bs = _egf_product(b, s, order - 1)
-    bb = _egf_product(b, b, order - 1)
     out: dict[str, list[int]] = {"A": [], "E": [], "S": [], "B": []}
     for m in range(order):
-        out["A"].append(a[m + 1] - es[m])
-        out["E"].append(e[m + 1] - (1 if m == 0 else 0) - eb[m])
-        out["S"].append(s[m + 1] - a[m] - bs[m])
-        out["B"].append(b[m + 1] - e[m] - bb[m])
+        out["A"].append(a[m + 1] - egf_coeff(e, s, m))
+        out["E"].append(e[m + 1] - (1 if m == 0 else 0) - egf_coeff(e, b, m))
+        out["S"].append(s[m + 1] - a[m] - egf_coeff(b, s, m))
+        out["B"].append(b[m + 1] - e[m] - egf_coeff(b, b, m))
     return out
 
 

@@ -7,7 +7,8 @@ rounded.  Trailing zeros are stripped, so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import comb
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -183,3 +184,16 @@ def _coerce(value: "XPoly | Scalar") -> XPoly:
     if isinstance(value, XPoly):
         return value
     return XPoly.constant(value)
+
+
+def egf_coeff(f: Sequence, g: Sequence, m: int, start: int = 0) -> "XPoly | Scalar":
+    """Coefficient m of the EGF product f * g, the binomial convolution
+    sum_{j=start..m} C(m, j) f[j] g[m-j], skipping zero terms.  Entries
+    may be ints or XPolys; an empty sum is the int 0.  start=1 leaves out
+    the f[0] term, which the coefficient recurrences solve for."""
+    acc = 0
+    for j in range(start, m + 1):
+        a, b = f[j], g[m - j]
+        if a and b:
+            acc = acc + comb(m, j) * (a * b)
+    return acc

@@ -6,8 +6,9 @@ Multiplication is the binomial convolution
 
     (f * g)_m = sum_j C(m, j) f_j g_{m-j},
 
-and reciprocals, quotients, and exponentials are computed by the
-corresponding coefficient recurrences, all over exact rationals.
+computed by :func:`polynomial.egf_coeff`.  Reciprocals, quotients, and
+exponentials solve the same convolution for one coefficient at a time
+(b' = a'b for the exponential), all over exact rationals.
 
 The builders return the distribution generating functions for the five
 rise statistics, truncated at a whole number of shrubs (order 3N in t):
@@ -25,12 +26,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable
 
 from .counts import iaf, ibf, ilf, itf, within_rise_poly
 from .forests import RiseKind
-from .polynomial import Scalar, XPoly
+from .polynomial import Scalar, XPoly, _coerce, egf_coeff
 
 #: Default truncation in shrub units (t**18), the deepest order anything
 #: in the package needs by default.
@@ -40,12 +41,6 @@ DEFAULT_SHRUBS = 6
 MIN_RISE = "minris"
 
 GF_STATS = tuple(kind.value for kind in RiseKind) + (MIN_RISE,)
-
-
-def _as_poly(value: "XPoly | Scalar") -> XPoly:
-    if isinstance(value, XPoly):
-        return value
-    return XPoly.constant(value)
 
 
 class EgfSeries:
@@ -68,7 +63,7 @@ class EgfSeries:
         for m, value in items:
             if not 0 <= m <= order:
                 raise ValueError(f"term t^{m} out of range for order {order}")
-            coeffs[m] = _as_poly(value)
+            coeffs[m] = _coerce(value)
         self._order = order
         self._coeffs = tuple(coeffs)
 
@@ -122,14 +117,9 @@ class EgfSeries:
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for m in range(self._order + 1):
-            acc = XPoly.zero()
-            for j in range(m + 1):
-                if a[j] and b[m - j]:
-                    acc = acc + comb(m, j) * (a[j] * b[m - j])
-            out.append(acc)
-        return EgfSeries(self._order, out)
+        return EgfSeries(
+            self._order, [egf_coeff(a, b, m) for m in range(self._order + 1)]
+        )
 
     def reciprocal(self) -> "EgfSeries":
         """Series b with self * b = 1 through the truncation order."""
@@ -138,11 +128,7 @@ class EgfSeries:
         a = self._coeffs
         b = [XPoly.one()]
         for m in range(1, self._order + 1):
-            acc = XPoly.zero()
-            for j in range(1, m + 1):
-                if a[j]:
-                    acc = acc + comb(m, j) * (a[j] * b[m - j])
-            b.append(-acc)
+            b.append(-egf_coeff(a, b, m, 1))
         return EgfSeries(self._order, b)
 
     def divexact(self, denominator: "EgfSeries") -> "EgfSeries":
@@ -156,27 +142,20 @@ class EgfSeries:
         d = denominator._coeffs
         if not d[0]:
             raise ZeroDivisionError("denominator has zero constant coefficient")
+        c = self._coeffs
         q: list[XPoly] = []
         for m in range(self._order + 1):
-            acc = self._coeffs[m]
-            for j in range(1, m + 1):
-                if d[j]:
-                    acc = acc - comb(m, j) * (d[j] * q[m - j])
-            q.append(acc.divexact(d[0]))
+            q.append((c[m] - egf_coeff(d, q, m, 1)).divexact(d[0]))
         return EgfSeries(self._order, q)
 
     def exp(self) -> "EgfSeries":
         """Exponential of a series with zero constant term."""
         if self._coeffs[0]:
             raise ValueError("exp needs zero constant term")
-        a = self._coeffs
+        da = self._coeffs[1:]  # a'_m = a_{m+1} in the t**m/m! basis
         b = [XPoly.one()]
         for m in range(self._order):  # b' = a' b
-            acc = XPoly.zero()
-            for j in range(m + 1):
-                if a[j + 1] and b[m - j]:
-                    acc = acc + comb(m, j) * (a[j + 1] * b[m - j])
-            b.append(acc)
+            b.append(egf_coeff(da, b, m))
         return EgfSeries(self._order, b)
 
     def __repr__(self) -> str:
@@ -211,8 +190,8 @@ class StatGF:
         return poly
 
 
-def _x_minus_one() -> XPoly:
-    return XPoly((-1, 1))
+_X_MINUS_ONE = XPoly((-1, 1))
+_ONE_MINUS_X = XPoly((1, -1))
 
 
 _CHAIN_COUNTS = {
@@ -237,12 +216,11 @@ def rise_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
         raise ValueError("shrubs must be >= 1")
     order = 3 * shrubs
     terms: dict[int, XPoly] = {0: XPoly.one()}
-    xm1 = _x_minus_one()
     for n in range(1, shrubs + 1):
         if kind is RiseKind.WORD:
-            term = xm1 ** (n - 1) * within_rise_poly(n)
+            term = _X_MINUS_ONE ** (n - 1) * within_rise_poly(n)
         else:
-            term = _CHAIN_COUNTS[kind](n) * xm1 ** (n - 1)
+            term = _CHAIN_COUNTS[kind](n) * _X_MINUS_ONE ** (n - 1)
         terms[3 * n] = -term
     return StatGF(kind.value, EgfSeries(order, terms).reciprocal())
 
@@ -271,12 +249,10 @@ def rise_gf_via_fraction(shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     if shrubs < 1:
         raise ValueError("shrubs must be >= 1")
     order = 3 * shrubs
-    one_minus_x = XPoly((1, -1))
-    terms: dict[int, XPoly] = {0: one_minus_x}
-    xm1 = _x_minus_one()
+    terms: dict[int, XPoly] = {0: _ONE_MINUS_X}
     for n in range(1, shrubs + 1):
-        terms[3 * n] = xm1**n * within_rise_poly(n)
-    numerator = EgfSeries(order, {0: one_minus_x})
+        terms[3 * n] = _X_MINUS_ONE**n * within_rise_poly(n)
+    numerator = EgfSeries(order, {0: _ONE_MINUS_X})
     return StatGF(RiseKind.WORD.value, numerator.divexact(EgfSeries(order, terms)))
 
 
@@ -294,27 +270,25 @@ def closed_form_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF
     if shrubs < 1:
         raise ValueError("shrubs must be >= 1")
     order = 3 * shrubs
-    one_minus_x = XPoly((1, -1))
-    xm1 = _x_minus_one()
     if kind is RiseKind.BASE:
         # exp((x-1)t^3/3): the t^3/3! coefficient of the exponent is 2(x-1)
-        denominator = EgfSeries(order, {3: 2 * xm1}).exp() - EgfSeries(
+        denominator = EgfSeries(order, {3: 2 * _X_MINUS_ONE}).exp() - EgfSeries(
             order, {0: XPoly.x()}
         )
     else:
-        terms: dict[int, XPoly] = {0: one_minus_x}
+        terms: dict[int, XPoly] = {0: _ONE_MINUS_X}
         for n in range(1, shrubs + 1):
             if kind is RiseKind.TOTAL:
                 # (2(x-1)t^3)^n / (3n)!
-                terms[3 * n] = (2 * xm1) ** n
+                terms[3 * n] = (2 * _X_MINUS_ONE) ** n
             else:
                 # (4(x-1)t^3)^n / ((n+1)!(2n+1)!)
                 scale = Fraction(
                     factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1)
                 )
-                terms[3 * n] = (4 * xm1) ** n * scale
+                terms[3 * n] = (4 * _X_MINUS_ONE) ** n * scale
         denominator = EgfSeries(order, terms)
-    numerator = EgfSeries(order, {0: one_minus_x})
+    numerator = EgfSeries(order, {0: _ONE_MINUS_X})
     return StatGF(kind.value, numerator.divexact(denominator))
 
 

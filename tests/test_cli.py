@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -248,3 +249,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1, 2, 40\n"
+
+
+def test_closed_pipe_exits_0_quietly():
+    # a reader that stops early, as ``| head -1`` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shrubstat", "paths", "--n", "5", "--list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "NNNNNWWWWWSSSSS\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()  # no-op once it has exited
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert code == 0 and err == ""
+
+    # a pipe closed before the command starts: block-buffered output that
+    # would otherwise fail only in the interpreter's exit-time flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "shrubstat", "seq", "--name", "LA", "--count", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0 and done.stderr == b""

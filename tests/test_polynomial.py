@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubstat.polynomial import XPoly
+
+#: Small-integer polynomials of degree at most 3, zero included.
+xpolys = st.lists(st.integers(-3, 3), max_size=4).map(XPoly)
 
 
 def test_trailing_zeros_are_stripped():
@@ -81,3 +86,20 @@ def test_coeff_accessor_and_hash():
     p = XPoly((5, 0, 7))
     assert (p.coeff(0), p.coeff(1), p.coeff(2), p.coeff(9)) == (5, 0, 7, 0)
     assert hash(XPoly((1, 2))) == hash(XPoly((1, 2, 0)))
+
+
+@settings(deadline=None)
+@given(xpolys, xpolys, xpolys)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + XPoly.zero() == p and p - p == XPoly.zero()
+    assert p * XPoly.one() == p and p * XPoly.zero() == XPoly.zero()
+
+
+@settings(deadline=None)
+@given(xpolys, xpolys.filter(bool))
+def test_divexact_inverts_multiplication_property(p, q):
+    assert (p * q).divexact(q) == p

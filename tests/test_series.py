@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubstat import (
     EgfSeries,
@@ -18,6 +20,9 @@ from shrubstat import (
 from shrubstat.series import MIN_RISE
 
 from golden import GF_GOLDEN
+
+#: Small-integer polynomials of degree at most 3, zero included.
+xpolys = st.lists(st.integers(-3, 3), max_size=4).map(XPoly)
 
 
 def test_construction_and_accessors():
@@ -192,3 +197,50 @@ def test_builder_argument_validation():
         rise_gf("bogus", 2)
     with pytest.raises(ValueError):
         min_rise_gf(0)
+
+
+def egf_series(order, head=xpolys):
+    """Series of the given order with a drawn polynomial at every exponent,
+    not only at multiples of 3; the constant term is drawn from head."""
+    rest = st.lists(xpolys, min_size=order, max_size=order)
+    return st.tuples(head, rest).map(lambda t: EgfSeries(order, [t[0], *t[1]]))
+
+
+orders = st.integers(0, 6)
+
+
+@settings(deadline=None)
+@given(orders.flatmap(lambda k: st.tuples(*[egf_series(k)] * 3)))
+def test_product_ring_laws(abc):
+    a, b, c = abc
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(deadline=None)
+@given(orders.flatmap(lambda k: egf_series(k, head=st.just(XPoly.one()))))
+def test_reciprocal_property(s):
+    assert s * s.reciprocal() == EgfSeries.one(s.order)
+
+
+@settings(deadline=None)
+@given(
+    orders.flatmap(
+        lambda k: st.tuples(*[egf_series(k, head=st.just(XPoly.zero()))] * 2)
+    )
+)
+def test_exp_of_sum_is_product_of_exps(ab):
+    a, b = ab
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+@settings(deadline=None)
+@given(
+    orders.flatmap(
+        lambda k: st.tuples(egf_series(k, head=xpolys.filter(bool)), egf_series(k))
+    )
+)
+def test_divexact_inverts_multiplication_property(dq):
+    d, q = dq
+    assert (d * q).divexact(d) == q

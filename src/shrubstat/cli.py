@@ -14,37 +14,56 @@ A reader that closes the output pipe early (``| head``) ends the command
 quietly with exit 0.
 Desk-scale guards are overridden globally by the environment variable
 ``SHRUBSTAT_MAX_N`` or per invocation with ``--force``.
+
+Each command runs in a fresh interpreter, so start-up is part of its
+cost: the parser is built from :mod:`shrubstat.names` alone, and each
+command imports the layers it calls (and ``json`` for ``--format json``)
+when it runs.  The layers stay reachable as attributes of this module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
+from importlib import import_module
 from itertools import islice
-from typing import Iterable, Sequence
 
-from . import counts, forests, kreweras, posets, series
 from .errors import GuardExceeded
-from .polynomial import XPoly
+from .names import (
+    DEFAULT_MAX_SHRUBS,
+    DEFAULT_MAX_TRIPLES,
+    DEFAULT_SHRUBS,
+    GF_STATS,
+    LINEXT_KINDS,
+    MIN_RISE,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_SEQ_FROM_ONE = {
-    "ITF": counts.itf,
-    "IBF": counts.ibf,
-    "ILF": counts.ilf,
-    "IAF": counts.iaf,
-}
+#: Layers that the commands import when they run.
+_LAYERS = ("counts", "forests", "kreweras", "posets", "series")
+
+
+def __getattr__(name: str):
+    """A layer as an attribute of this module, imported on first access."""
+    if name in _LAYERS:
+        return import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+#: Sequences indexed from n = 1; each is the `counts` function of the
+#: same name in lower case.
+_SEQ_FROM_ONE = ("ITF", "IBF", "ILF", "IAF")
 
 _POSET_FAMILIES = ("A", "E", "S", "B", "ISF", "IBF", "L")
 
 _GUARDS = {
-    "verify": forests.DEFAULT_MAX_SHRUBS,
-    "paths": kreweras.DEFAULT_MAX_TRIPLES,
+    "verify": DEFAULT_MAX_SHRUBS,
+    "paths": DEFAULT_MAX_TRIPLES,
     "bijection": 4,  # grid poset has 3n elements; enumeration wants <= 12
     "extensions-count": 7,  # widest family instance at n=7 has 23 nodes
     "extensions-list": 4,
@@ -76,6 +95,8 @@ def _check_guard(args, name: str, n: int) -> bool:
 
 def _emit(args, command: str, params: dict, payload, status: str) -> None:
     if args.format == "json":
+        import json
+
         record = {
             "command": command,
             "params": params,
@@ -118,18 +139,23 @@ def _text_lines(payload) -> list[str]:
     return [", ".join(payload)] if payload else []
 
 
-def _poly_payload(poly: XPoly) -> list[str]:
+def _poly_payload(poly) -> list[str]:
     return [str(c) for c in poly.int_coeffs()] or ["0"]
 
 
 def cmd_coeff(args) -> int:
+    from . import series
+
     if not 0 <= args.n <= args.order:
         print(
             f"error: n={args.n} out of range for truncation order {args.order}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    gf = series.build_gf(args.stat, args.order)
+    # The t^(3n) coefficient of a reciprocal or an exact quotient depends
+    # only on the terms through t^(3n): building past n shrubs (or past
+    # one, for n = 0) changes nothing but the cost.
+    gf = series.build_gf(args.stat, min(args.order, max(args.n, 1)))
     poly = gf.coeff(args.n)
     params = {"stat": args.stat, "n": args.n, "order": args.order}
     if args.format == "text":
@@ -140,11 +166,14 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_seq(args) -> int:
+    from . import counts
+
     if args.count < 1:
         print("error: count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.name in _SEQ_FROM_ONE:
-        terms = [_SEQ_FROM_ONE[args.name](i) for i in range(1, args.count + 1)]
+        term = getattr(counts, args.name.lower())
+        terms = [term(i) for i in range(1, args.count + 1)]
     else:
         terms = [counts.linext_seq(args.name, i) for i in range(args.count)]
     payload = [str(t) for t in terms]
@@ -153,6 +182,9 @@ def cmd_seq(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import forests, series
+    from .polynomial import XPoly
+
     if not _check_guard(args, "verify", args.max_n):
         return EXIT_USAGE
     gf = series.build_gf(args.stat, args.max_n)
@@ -160,7 +192,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for n in range(1, args.max_n + 1):
         formula = gf.coeff(n)
-        if args.stat == series.MIN_RISE:
+        if args.stat == MIN_RISE:
             brute = XPoly.constant(forests.min_rise_count(n, max_shrubs=args.max_n))
         else:
             brute = forests.rise_distribution(args.stat, n, max_shrubs=args.max_n)
@@ -179,6 +211,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import kreweras
+
     if not _check_guard(args, "paths", args.n):
         return EXIT_USAGE
     params = {"n": args.n, "list": bool(args.list)}
@@ -196,6 +230,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from . import counts, kreweras, posets
+
     if not _check_guard(args, "bijection", args.n):
         return EXIT_USAGE
     n = args.n
@@ -234,7 +270,9 @@ def cmd_bijection(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _build_family(family: str, n: int) -> posets.Poset:
+def _build_family(family: str, n: int):
+    from . import posets
+
     if family == "ISF":
         return posets.build_isf_poset(n)
     if family == "IBF":
@@ -245,6 +283,8 @@ def _build_family(family: str, n: int) -> posets.Poset:
 
 
 def cmd_extensions(args) -> int:
+    from . import posets
+
     guard_name = "extensions-list" if args.mode == "list" else "extensions-count"
     if not _check_guard(args, guard_name, args.n):
         return EXIT_USAGE
@@ -271,6 +311,8 @@ def cmd_extensions(args) -> int:
 
 
 def cmd_ode_check(args) -> int:
+    from . import counts
+
     if args.order < 1:
         print("error: order must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -324,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("coeff", help="one series coefficient polynomial")
-    p.add_argument("--stat", choices=series.GF_STATS, required=True)
+    p.add_argument("--stat", choices=GF_STATS, required=True)
     p.add_argument("--n", type=int, required=True, help="number of shrubs")
     p.add_argument(
         "--order",
         type=int,
-        default=series.DEFAULT_SHRUBS,
+        default=DEFAULT_SHRUBS,
         help="truncation order in shrub units (default: 6)",
     )
     add_format(p)
@@ -338,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="terms of a counting sequence")
     p.add_argument(
         "--name",
-        choices=tuple(_SEQ_FROM_ONE) + counts.LINEXT_KINDS,
+        choices=_SEQ_FROM_ONE + LINEXT_KINDS,
         required=True,
     )
     p.add_argument("--count", type=int, required=True)
@@ -346,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", help="series coefficients vs. brute force")
-    p.add_argument("--stat", choices=series.GF_STATS, required=True)
+    p.add_argument("--stat", choices=GF_STATS, required=True)
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
     add_format(p)
     add_force(p)

@@ -33,9 +33,8 @@ from __future__ import annotations
 import threading
 from math import comb, factorial
 
+from .names import LINEXT_KINDS
 from .polynomial import XPoly, egf_coeff
-
-LINEXT_KINDS = ("LA", "LB", "LE", "LS")
 
 _cache: dict[str, list[int]] = {k: [1] for k in LINEXT_KINDS}
 _cache_lock = threading.Lock()

@@ -24,44 +24,24 @@ are pure; values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
+from .names import DEFAULT_MAX_SHRUBS, RiseKind
 from .polynomial import XPoly
-
-#: Default bound on the number of shrubs for exhaustive enumeration.
-#: (3*4)!/3**4 is about 5.9 million forests, which the sweep visits in
-#: about 2 s of CPU time (2.0 GHz Xeon, Python 3.11); n = 5 is about
-#: 5.4e9 and is refused unless the caller raises the guard.
-DEFAULT_MAX_SHRUBS = 4
-
-
-class RiseKind(str, Enum):
-    """The five rise statistics, keyed by their command-line names."""
-
-    WORD = "ris"
-    TOTAL = "risT"
-    BASE = "risB"
-    LEX = "risL"
-    ADJACENT = "risA"
-
+from .record import Record
 
 #: The four statistics defined by comparing adjacent shrubs.
 PAIR_KINDS = (RiseKind.TOTAL, RiseKind.BASE, RiseKind.LEX, RiseKind.ADJACENT)
 
 
-@dataclass(frozen=True)
-class Shrub:
-    """One labeled shrub; the root label must be the smallest."""
+class Shrub(Record):
+    """One labeled shrub (int labels); the root label must be the smallest."""
 
-    root: int
-    left: int
-    right: int
+    __slots__ = ("root", "left", "right")
 
     def __post_init__(self) -> None:
         labels = (self.root, self.left, self.right)
@@ -80,11 +60,10 @@ class Shrub:
         return frozenset(self.triple)
 
 
-@dataclass(frozen=True)
-class Forest:
-    """An ordered sequence of shrubs whose labels partition {1..3n}."""
+class Forest(Record):
+    """An ordered tuple of shrubs whose labels partition {1..3n}."""
 
-    shrubs: tuple[Shrub, ...]
+    __slots__ = ("shrubs",)
 
     def __post_init__(self) -> None:
         if not self.shrubs:

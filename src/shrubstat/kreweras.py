@@ -16,15 +16,12 @@ each other exhaustively in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
-
-#: Walks of 6 triples number 835584; beyond that enumeration is refused
-#: unless the caller raises the guard.
-DEFAULT_MAX_TRIPLES = 6
+from .names import DEFAULT_MAX_TRIPLES
+from .record import Record
 
 # Steps per walk that enumerate_paths takes from its table of
 # completions.  Nine is half a walk at the default guard; a fixed
@@ -187,14 +184,12 @@ def count_paths(n: int) -> int:
     return layer[n, n, n]
 
 
-@dataclass(frozen=True)
-class RowLabeling:
-    """A three-row grid labeling: rows increase left to right and each
-    middle entry is below its top and bottom neighbors."""
+class RowLabeling(Record):
+    """A three-row grid labeling, each row a tuple of ints: rows increase
+    left to right and each middle entry is below its top and bottom
+    neighbors."""
 
-    top: tuple[int, ...]
-    middle: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ("top", "middle", "bottom")
 
     def __post_init__(self) -> None:
         n = len(self.middle)

@@ -15,10 +15,10 @@ Elements of the forest-shaped posets are indexed in word positions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import GuardExceeded
+from .record import Record
 
 #: Counting guard: widest family instance at desk scale has 14 nodes,
 #: and the down-set DP stays cheap well beyond that.
@@ -28,12 +28,11 @@ DEFAULT_MAX_COUNT_SIZE = 24
 DEFAULT_MAX_ENUM_SIZE = 12
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Ground set 0..size-1 with cover relations (u, v) meaning u < v."""
+class Poset(Record):
+    """Ground set 0..size-1 (an int) with a frozenset of cover relations
+    (u, v) meaning u < v."""
 
-    size: int
-    covers: frozenset[tuple[int, int]]
+    __slots__ = ("size", "covers")
 
     def __post_init__(self) -> None:
         if self.size < 0:

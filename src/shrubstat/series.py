@@ -24,23 +24,15 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
 from .counts import iaf, ibf, ilf, itf, within_rise_poly
-from .forests import RiseKind
+from .names import GF_STATS  # noqa: F401  (re-exported for callers)
+from .names import DEFAULT_SHRUBS, MIN_RISE, RiseKind
 from .polynomial import Scalar, XPoly, _coerce, egf_coeff
-
-#: Default truncation in shrub units (t**18), the deepest order anything
-#: in the package needs by default.
-DEFAULT_SHRUBS = 6
-
-#: CLI name of the minimal-ascent counting series.
-MIN_RISE = "minris"
-
-GF_STATS = tuple(kind.value for kind in RiseKind) + (MIN_RISE,)
+from .record import Record
 
 
 class EgfSeries:
@@ -163,17 +155,16 @@ class EgfSeries:
         return f"EgfSeries(order={self._order}, {{{head or '0'}}})"
 
 
-@dataclass(frozen=True)
-class StatGF:
-    """A statistic name plus its truncated generating function.
+class StatGF(Record):
+    """A statistic name (str) plus its truncated generating function
+    (an :class:`EgfSeries`).
 
     Coefficients live at t**(3n) only; :meth:`coeff` extracts the
     polynomial for n shrubs and insists on integer coefficients, since a
     fractional value can only mean an arithmetic bug upstream.
     """
 
-    stat: str
-    series: EgfSeries
+    __slots__ = ("stat", "series")
 
     @property
     def shrubs(self) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,6 +45,19 @@ def test_coeff_out_of_range(capsys):
     code, _, err = run(capsys, "coeff", "--stat", "ris", "--n", "9")
     assert code == 2
     assert "out of range" in err
+
+
+def test_coeff_builds_only_to_n(capsys):
+    argv = ("coeff", "--stat", "ris", "--n", "2")
+    start = time.process_time()
+    code, out, _ = run(capsys, *argv, "--order", "160")
+    assert time.process_time() - start < 5  # building to t^480 takes about 60 s
+    assert (code, out) == run(capsys, *argv, "--order", "2")[:2]
+    assert out == "16x^2 + 39x^3 + 24x^4 + x^5\n"
+    code, out, _ = run(capsys, *argv, "--order", "160", "--format", "json")
+    assert code == 0 and json.loads(out)["params"]["order"] == 160
+    code, _, err = run(capsys, "coeff", "--stat", "ris", "--n", "3", "--order", "2")
+    assert code == 2 and "out of range" in err
 
 
 def test_coeff_unknown_stat_exits_2():

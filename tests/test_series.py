@@ -179,6 +179,12 @@ def test_series_support_is_whole_shrubs():
                 assert series.coeff(m) == XPoly.zero(), (stat, m)
 
 
+def test_coefficient_does_not_depend_on_a_larger_order():
+    # the t^(3n) coefficient of a reciprocal reads only terms through t^(3n)
+    for stat in ("ris", "risT", "risB", "risL", "risA", MIN_RISE):
+        assert build_gf(stat, 17).coeff(17) == build_gf(stat, 40).coeff(17), stat
+
+
 def test_coeff_out_of_range_and_integrality_guard():
     gf = rise_gf("ris", 2)
     with pytest.raises(ValueError):

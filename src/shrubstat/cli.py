@@ -81,19 +81,18 @@ def _guard(name: str) -> int:
     return int(env)
 
 
-def _check_guard(args, name: str, n: int) -> bool:
+def _check_guard(args, name: str, n: int) -> None:
     limit = _guard(name)
-    if n <= limit or args.force:
-        return True
-    print(
-        f"error: n={n} exceeds the guard ({limit}); re-run with --force "
-        "or set SHRUBSTAT_MAX_N",
-        file=sys.stderr,
-    )
-    return False
+    if n > limit and not args.force:
+        raise GuardExceeded(
+            f"n={n} exceeds the guard ({limit}); re-run with --force "
+            "or set SHRUBSTAT_MAX_N"
+        )
 
 
-def _emit(args, command: str, params: dict, payload, status: str) -> None:
+def _emit(args, command: str, params: dict, payload, ok: bool = True) -> int:
+    """Print the result in the chosen format; return the exit code."""
+    status = "ok" if ok else "fail"
     if args.format == "json":
         import json
 
@@ -111,8 +110,9 @@ def _emit(args, command: str, params: dict, payload, status: str) -> None:
     else:
         for line in _text_lines(payload):
             print(line)
-        if status == "fail":
+        if not ok:
             print("FAIL")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 #: Lines per write call of a streamed listing.
@@ -147,11 +147,7 @@ def cmd_coeff(args) -> int:
     from . import series
 
     if not 0 <= args.n <= args.order:
-        print(
-            f"error: n={args.n} out of range for truncation order {args.order}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"n={args.n} out of range for truncation order {args.order}")
     # The t^(3n) coefficient of a reciprocal or an exact quotient depends
     # only on the terms through t^(3n): building past n shrubs (or past
     # one, for n = 0) changes nothing but the cost.
@@ -160,61 +156,46 @@ def cmd_coeff(args) -> int:
     params = {"stat": args.stat, "n": args.n, "order": args.order}
     if args.format == "text":
         print(str(poly))
-    else:
-        _emit(args, "coeff", params, _poly_payload(poly), "ok")
-    return EXIT_OK
+        return EXIT_OK
+    return _emit(args, "coeff", params, _poly_payload(poly))
 
 
 def cmd_seq(args) -> int:
     from . import counts
 
     if args.count < 1:
-        print("error: count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("count must be >= 1")
     if args.name in _SEQ_FROM_ONE:
         term = getattr(counts, args.name.lower())
         terms = [term(i) for i in range(1, args.count + 1)]
     else:
         terms = [counts.linext_seq(args.name, i) for i in range(args.count)]
     payload = [str(t) for t in terms]
-    _emit(args, "seq", {"name": args.name, "count": args.count}, payload, "ok")
-    return EXIT_OK
+    return _emit(args, "seq", {"name": args.name, "count": args.count}, payload)
 
 
 def cmd_verify(args) -> int:
     from . import forests, series
     from .polynomial import XPoly
 
-    if not _check_guard(args, "verify", args.max_n):
-        return EXIT_USAGE
+    _check_guard(args, "verify", args.max_n)
     gf = series.build_gf(args.stat, args.max_n)
     rows = []
-    all_ok = True
     for n in range(1, args.max_n + 1):
         formula = gf.coeff(n)
         if args.stat == MIN_RISE:
             brute = XPoly.constant(forests.min_rise_count(n, max_shrubs=args.max_n))
         else:
             brute = forests.rise_distribution(args.stat, n, max_shrubs=args.max_n)
-        ok = formula == brute
-        all_ok &= ok
-        rows.append([str(n), "PASS" if ok else "FAIL"])
-    status = "ok" if all_ok else "fail"
-    _emit(
-        args,
-        "verify",
-        {"stat": args.stat, "max_n": args.max_n},
-        rows,
-        status,
-    )
-    return EXIT_OK if all_ok else EXIT_FAIL
+        rows.append([str(n), "PASS" if formula == brute else "FAIL"])
+    params = {"stat": args.stat, "max_n": args.max_n}
+    return _emit(args, "verify", params, rows, all(r[1] == "PASS" for r in rows))
 
 
 def cmd_paths(args) -> int:
     from . import kreweras
 
-    if not _check_guard(args, "paths", args.n):
-        return EXIT_USAGE
+    _check_guard(args, "paths", args.n)
     params = {"n": args.n, "list": bool(args.list)}
     if args.list:
         stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
@@ -225,15 +206,13 @@ def cmd_paths(args) -> int:
         payload = list(words)
     else:
         payload = [str(kreweras.count_paths(args.n))]
-    _emit(args, "paths", params, payload, "ok")
-    return EXIT_OK
+    return _emit(args, "paths", params, payload)
 
 
 def cmd_bijection(args) -> int:
     from . import counts, kreweras, posets
 
-    if not _check_guard(args, "bijection", args.n):
-        return EXIT_USAGE
+    _check_guard(args, "bijection", args.n)
     n = args.n
     poset = posets.build_lex_poset(n)
     extensions = list(
@@ -266,33 +245,22 @@ def cmd_bijection(args) -> int:
         ["formula", str(formula)],
         ["bijective", "yes" if (injective and onto and round_trip) else "no"],
     ]
-    _emit(args, "bijection", {"n": n}, rows, "ok" if ok else "fail")
-    return EXIT_OK if ok else EXIT_FAIL
-
-
-def _build_family(family: str, n: int):
-    from . import posets
-
-    if family == "ISF":
-        return posets.build_isf_poset(n)
-    if family == "IBF":
-        return posets.build_ibf_poset(n)
-    if family == "L":
-        return posets.build_lex_poset(n)
-    return posets.build_adjacent_poset(family, n)
+    return _emit(args, "bijection", {"n": n}, rows, ok)
 
 
 def cmd_extensions(args) -> int:
     from . import posets
 
-    guard_name = "extensions-list" if args.mode == "list" else "extensions-count"
-    if not _check_guard(args, guard_name, args.n):
-        return EXIT_USAGE
-    try:
-        poset = _build_family(args.family, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_guard(args, f"extensions-{args.mode}", args.n)
+    builders = {
+        "ISF": posets.build_isf_poset,
+        "IBF": posets.build_ibf_poset,
+        "L": posets.build_lex_poset,
+    }
+    if args.family in builders:
+        poset = builders[args.family](args.n)
+    else:  # A, E, S or B: an adjacent-chain family
+        poset = posets.build_adjacent_poset(args.family, args.n)
     params = {"family": args.family, "n": args.n, "mode": args.mode}
     if args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
@@ -306,37 +274,24 @@ def cmd_extensions(args) -> int:
             )
             return EXIT_OK
         payload = [[str(v) for v in labeling] for labeling in labelings]
-    _emit(args, "extensions", params, payload, "ok")
-    return EXIT_OK
+    return _emit(args, "extensions", params, payload)
 
 
 def cmd_ode_check(args) -> int:
     from . import counts
 
-    if args.order < 1:
-        print("error: order must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    residuals = counts.ode_residuals(args.order)
-    rows = []
-    all_ok = True
-    for name in ("A", "E", "S", "B"):
-        ok = all(v == 0 for v in residuals[name])
-        all_ok &= ok
-        rows.append([name, "zero" if ok else "nonzero"])
+    residuals = counts.ode_residuals(args.order)  # ValueError if order < 1
+    rows = [
+        [name, "nonzero" if any(residuals[name]) else "zero"]
+        for name in ("A", "E", "S", "B")
+    ]
     terms = (args.order - 2) // 3
     series_ok = all(
         counts.lb_via_ode(m) == counts.linext_seq("LB", m) for m in range(terms + 1)
     )
-    all_ok &= series_ok
     rows.append(["series-vs-recurrence", "ok" if series_ok else "mismatch"])
-    _emit(
-        args,
-        "ode-check",
-        {"order": args.order},
-        rows,
-        "ok" if all_ok else "fail",
-    )
-    return EXIT_OK if all_ok else EXIT_FAIL
+    ok = all(r[1] in ("zero", "ok") for r in rows)
+    return _emit(args, "ode-check", {"order": args.order}, rows, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,10 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import threading
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .names import LINEXT_KINDS
-from .polynomial import XPoly, egf_coeff
+
+if TYPE_CHECKING:  # imported where used: `seq` runs no polynomial code
+    from .polynomial import XPoly
 
 _cache: dict[str, list[int]] = {k: [1] for k in LINEXT_KINDS}
 _cache_lock = threading.Lock()
@@ -75,33 +78,19 @@ def linext_seq(kind: str, n: int) -> int:
         raise ValueError(f"unknown sequence {kind!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
+
+    def chain_sum(top: int, shift: int, f: list[int], g: list[int], m: int) -> int:
+        """sum_k C(top, 3(k-1)+shift) f[k-1] g[m-k] over k = 1..m."""
+        # Not egf_coeff: ode_residuals checks these recurrences through it.
+        return sum(comb(top, 3 * j + shift) * f[j] * g[m - 1 - j] for j in range(m))
+
     with _cache_lock:
         la, lb, le, ls = (_cache[k] for k in ("LA", "LB", "LE", "LS"))
         for m in range(len(la), n + 1):
-            le_m = sum(
-                comb(3 * m, 3 * (k - 1) + 1) * le[k - 1] * lb[m - k]
-                for k in range(1, m + 1)
-            )
-            le.append(le_m)
-            lb.append(
-                le_m
-                + sum(
-                    comb(3 * m + 1, 3 * (k - 1) + 2) * lb[k - 1] * lb[m - k]
-                    for k in range(1, m + 1)
-                )
-            )
-            la_m = sum(
-                comb(3 * m - 1, 3 * (k - 1) + 1) * le[k - 1] * ls[m - k]
-                for k in range(1, m + 1)
-            )
-            la.append(la_m)
-            ls.append(
-                la_m
-                + sum(
-                    comb(3 * m, 3 * (k - 1) + 2) * lb[k - 1] * ls[m - k]
-                    for k in range(1, m + 1)
-                )
-            )
+            le.append(chain_sum(3 * m, 1, le, lb, m))
+            lb.append(le[m] + chain_sum(3 * m + 1, 2, lb, lb, m))
+            la.append(chain_sum(3 * m - 1, 1, le, ls, m))
+            ls.append(la[m] + chain_sum(3 * m, 2, lb, ls, m))
         return _cache[kind][n]
 
 
@@ -124,6 +113,8 @@ def lb_via_ode(n: int) -> int:
     gains one coefficient per step, so a step costs O(order) and the
     routine O(order**2).
     """
+    from .polynomial import egf_coeff
+
     if n < 0:
         raise ValueError("n must be >= 0")
     order = 3 * n + 2
@@ -163,6 +154,8 @@ def ode_residuals(order: int) -> dict[str, list[int]]:
     "S" for S' - (A + B*S), "B" for B' - (E + B**2).  Every residual
     list must be identically zero.
     """
+    from .polynomial import egf_coeff
+
     if order < 1:
         raise ValueError("order must be >= 1")
     series = adjacent_chain_egfs(order)
@@ -183,6 +176,8 @@ def within_rise_poly(n: int) -> XPoly:
     boundary-increasing forests of n shrubs (checked exhaustively in the
     tests via the poset oracle).
     """
+    from .polynomial import XPoly
+
     if n < 1:
         raise ValueError("n must be >= 1")
     poly = XPoly.x() ** n
@@ -197,6 +192,8 @@ def eulerian_poly(n: int) -> XPoly:
     Triangular recurrence T(n, k) = (k+1) T(n-1, k) + (n-k) T(n-1, k-1)
     with T(1, 0) = 1.
     """
+    from .polynomial import XPoly
+
     if n < 1:
         raise ValueError("n must be >= 1")
     row = [1]

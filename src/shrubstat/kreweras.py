@@ -60,20 +60,41 @@ def path_from_word(word: str) -> Path:
         raise ValueError(f"step letters must be N, W or S: {word!r}") from None
 
 
+def _step(n: int, counts: _Counts, step: object) -> _Counts | None:
+    """Step counts (ne, w, s) after one more step, or None if it is no
+    step or breaks the walk rule of 3n steps: at most n northeast steps,
+    never more west or south steps than northeast ones."""
+    ne, w, s = counts
+    if step == "N" and ne < n:  # by value: a letter is its step
+        return (ne + 1, w, s)
+    if step == "W" and w < ne:
+        return (ne, w + 1, s)
+    if step == "S" and s < ne:
+        return (ne, w, s + 1)
+    return None
+
+
+def _moves(n: int, counts: _Counts) -> list[tuple[Step, _Counts]]:
+    """The steps allowed after counts, in step order, with the counts after."""
+    return [(step, after) for step in STEP_ORDER if (after := _step(n, counts, step))]
+
+
+def _walk(n: int, steps: Sequence[Step]) -> _Counts | None:
+    """Step counts after steps, or None once one breaks the walk rule."""
+    counts: _Counts | None = (0, 0, 0)
+    for step in steps:
+        counts = _step(n, counts, step)
+        if counts is None:
+            break
+    return counts
+
+
 def is_valid_path(steps: Sequence[Step]) -> bool:
     """Whether steps is a closed first-quadrant walk (prefix conditions
-    plus equal step counts)."""
-    ne = w = s = 0
-    for step in steps:
-        if step is Step.NE:
-            ne += 1
-        elif step is Step.W:
-            w += 1
-        else:
-            s += 1
-        if w > ne or s > ne:
-            return False
-    return ne == w == s
+    plus equal step counts).  Steps compare by value, so a word in the
+    letters N, W and S is checked like its tuple of steps."""
+    n = len(steps) // 3
+    return _walk(n, steps) == (n, n, n)
 
 
 def enumerate_paths(
@@ -102,17 +123,8 @@ def enumerate_paths(
     steps: list[Step] = [Step(s) for s in prefix]
     if len(steps) > 3 * n:
         raise ValueError("prefix longer than the walk")
-    ne = w = s = 0
-    for step in steps:
-        if step is Step.NE:
-            ne += 1
-        elif step is Step.W:
-            w += 1
-        else:
-            s += 1
-        if w > ne or s > ne:
-            return
-    if max(ne, w, s) > n:
+    start = _walk(n, steps)
+    if start is None:
         return
 
     # The walks after a prefix depend only on its step counts, so the
@@ -122,16 +134,6 @@ def enumerate_paths(
     split = max(len(steps), total - _TAIL_STEPS)
     tails: dict[_Counts, list[Path]] = {}
 
-    def moves(ne: int, w: int, s: int) -> Iterator[tuple[Step, _Counts]]:
-        """Each step allowed after a prefix with these counts, in step
-        order, with the counts after it."""
-        if ne < n:
-            yield Step.NE, (ne + 1, w, s)
-        if w < ne:  # w + 1 <= ne keeps the prefix condition
-            yield Step.W, (ne, w + 1, s)
-        if s < ne:
-            yield Step.S, (ne, w, s + 1)
-
     def completions(counts: _Counts) -> list[Path]:
         found = tails.get(counts)
         if found is None:
@@ -140,7 +142,7 @@ def enumerate_paths(
             else:
                 found = [
                     (step,) + tail
-                    for step, after in moves(*counts)
+                    for step, after in _moves(n, counts)
                     for tail in completions(after)
                 ]
             tails[counts] = found
@@ -152,12 +154,12 @@ def enumerate_paths(
             for tail in completions(counts):
                 yield head + tail
             return
-        for step, after in moves(*counts):
+        for step, after in _moves(n, counts):
             steps.append(step)
             yield from rec(after)
             steps.pop()
 
-    yield from rec((ne, w, s))
+    yield from rec(start)
 
 
 def count_paths(n: int) -> int:
@@ -173,13 +175,9 @@ def count_paths(n: int) -> int:
     layer = Counter({(0, 0, 0): 1})
     for _ in range(3 * n):
         nxt: Counter[tuple[int, int, int]] = Counter()
-        for (ne, w, s), ways in layer.items():
-            if ne < n:
-                nxt[ne + 1, w, s] += ways
-            if w < ne:
-                nxt[ne, w + 1, s] += ways
-            if s < ne:
-                nxt[ne, w, s + 1] += ways
+        for counts, ways in layer.items():
+            for _, after in _moves(n, counts):
+                nxt[after] += ways
         layer = nxt
     return layer[n, n, n]
 
@@ -228,7 +226,7 @@ def path_from_rows(rows: RowLabeling) -> Path:
 
 def rows_from_path(path: Sequence[Step]) -> RowLabeling:
     """Inverse reading: label i goes to the row named by step i."""
-    if not is_valid_path(tuple(Step(s) for s in path)):
+    if not is_valid_path(path):
         raise ValueError("not a closed first-quadrant walk")
     top: list[int] = []
     middle: list[int] = []

@@ -23,9 +23,9 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable
 
 from .counts import iaf, ibf, ilf, itf, within_rise_poly
@@ -193,6 +193,21 @@ _CHAIN_COUNTS = {
 }
 
 
+def _shrub_series(
+    shrubs: int, constant: XPoly, term: Callable[[int, XPoly], XPoly | Scalar]
+) -> EgfSeries:
+    """constant + sum_n term(n, (x-1)**(n-1)) t**(3n) over n = 1..shrubs,
+    truncated at order 3 * shrubs."""
+    if shrubs < 1:
+        raise ValueError("shrubs must be >= 1")
+    terms = {0: constant}
+    power = XPoly.one()  # (x-1)**(n-1), one factor more per shrub
+    for n in range(1, shrubs + 1):
+        terms[3 * n] = term(n, power)
+        power *= _X_MINUS_ONE
+    return EgfSeries(3 * shrubs, terms)
+
+
 def rise_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     """Distribution generating function of one rise statistic.
 
@@ -203,31 +218,18 @@ def rise_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     coefficient stays polynomial.
     """
     kind = RiseKind(kind)
-    if shrubs < 1:
-        raise ValueError("shrubs must be >= 1")
-    order = 3 * shrubs
-    terms: dict[int, XPoly] = {0: XPoly.one()}
-    for n in range(1, shrubs + 1):
-        if kind is RiseKind.WORD:
-            term = _X_MINUS_ONE ** (n - 1) * within_rise_poly(n)
-        else:
-            term = _CHAIN_COUNTS[kind](n) * _X_MINUS_ONE ** (n - 1)
-        terms[3 * n] = -term
-    return StatGF(kind.value, EgfSeries(order, terms).reciprocal())
+    factor = within_rise_poly if kind is RiseKind.WORD else _CHAIN_COUNTS[kind]
+    series = _shrub_series(shrubs, XPoly.one(), lambda n, p: -p * factor(n))
+    return StatGF(kind.value, series.reciprocal())
 
 
 def min_rise_gf(shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     """Counting series of forests whose word attains the minimal ascent
     number n; the coefficient at t**(3n) is that count (a constant)."""
-    if shrubs < 1:
-        raise ValueError("shrubs must be >= 1")
-    order = 3 * shrubs
-    terms: dict[int, XPoly] = {0: XPoly.one()}
-    product = 1
-    for n in range(1, shrubs + 1):
-        product *= 3 * n - 2
-        terms[3 * n] = XPoly.constant((-1) ** n * product)
-    return StatGF(MIN_RISE, EgfSeries(order, terms).reciprocal())
+    series = _shrub_series(
+        shrubs, XPoly.one(), lambda n, p: (-1) ** n * prod(range(1, 3 * n, 3))
+    )
+    return StatGF(MIN_RISE, series.reciprocal())
 
 
 def rise_gf_via_fraction(shrubs: int = DEFAULT_SHRUBS) -> StatGF:
@@ -237,14 +239,11 @@ def rise_gf_via_fraction(shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     prod(x+3k-2); evaluated by exact series division.  Must agree with
     ``rise_gf("ris")`` coefficientwise.
     """
-    if shrubs < 1:
-        raise ValueError("shrubs must be >= 1")
-    order = 3 * shrubs
-    terms: dict[int, XPoly] = {0: _ONE_MINUS_X}
-    for n in range(1, shrubs + 1):
-        terms[3 * n] = _X_MINUS_ONE**n * within_rise_poly(n)
-    numerator = EgfSeries(order, {0: _ONE_MINUS_X})
-    return StatGF(RiseKind.WORD.value, numerator.divexact(EgfSeries(order, terms)))
+    denominator = _shrub_series(
+        shrubs, _ONE_MINUS_X, lambda n, p: p * _X_MINUS_ONE * within_rise_poly(n)
+    )
+    numerator = EgfSeries(denominator.order, {0: _ONE_MINUS_X})
+    return StatGF(RiseKind.WORD.value, numerator.divexact(denominator))
 
 
 def closed_form_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
@@ -258,28 +257,23 @@ def closed_form_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF
     kind = RiseKind(kind)
     if kind not in (RiseKind.TOTAL, RiseKind.BASE, RiseKind.LEX):
         raise ValueError(f"no closed form for {kind.value!r}")
-    if shrubs < 1:
-        raise ValueError("shrubs must be >= 1")
-    order = 3 * shrubs
     if kind is RiseKind.BASE:
         # exp((x-1)t^3/3): the t^3/3! coefficient of the exponent is 2(x-1)
-        denominator = EgfSeries(order, {3: 2 * _X_MINUS_ONE}).exp() - EgfSeries(
-            order, {0: XPoly.x()}
+        exponent = _shrub_series(
+            shrubs, XPoly.zero(), lambda n, p: 2 * _X_MINUS_ONE if n == 1 else 0
         )
+        denominator = exponent.exp() - EgfSeries(exponent.order, {0: XPoly.x()})
     else:
-        terms: dict[int, XPoly] = {0: _ONE_MINUS_X}
-        for n in range(1, shrubs + 1):
-            if kind is RiseKind.TOTAL:
-                # (2(x-1)t^3)^n / (3n)!
-                terms[3 * n] = (2 * _X_MINUS_ONE) ** n
-            else:
-                # (4(x-1)t^3)^n / ((n+1)!(2n+1)!)
-                scale = Fraction(
-                    factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1)
-                )
-                terms[3 * n] = (4 * _X_MINUS_ONE) ** n * scale
-        denominator = EgfSeries(order, terms)
-    numerator = EgfSeries(order, {0: _ONE_MINUS_X})
+
+        def term(n: int, power: XPoly) -> XPoly:
+            if kind is RiseKind.TOTAL:  # (2(x-1)t^3)^n / (3n)!
+                return 2**n * power * _X_MINUS_ONE
+            # (4(x-1)t^3)^n / ((n+1)!(2n+1)!)
+            scale = Fraction(factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1))
+            return 4**n * scale * power * _X_MINUS_ONE
+
+        denominator = _shrub_series(shrubs, _ONE_MINUS_X, term)
+    numerator = EgfSeries(denominator.order, {0: _ONE_MINUS_X})
     return StatGF(kind.value, numerator.divexact(denominator))
 
 

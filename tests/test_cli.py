@@ -189,6 +189,26 @@ def test_recursion_error_exits_2(capsys, argv):
     assert err.startswith("error: ") and "recursion" in err
 
 
+@pytest.mark.parametrize(
+    "max_n, argv",
+    [
+        (None, "coeff --stat ris --n 3 --order 1"),
+        (None, "seq --name LB --count 0"),
+        (None, "ode-check --order 0"),
+        (None, "extensions --family E --n -1"),
+        (None, "verify --stat ris --max-n 5"),
+        ("abc", "verify --stat ris"),
+    ],
+)
+def test_usage_error_is_one_stderr_line(capsys, monkeypatch, max_n, argv):
+    monkeypatch.delenv("SHRUBSTAT_MAX_N", raising=False)
+    if max_n is not None:
+        monkeypatch.setenv("SHRUBSTAT_MAX_N", max_n)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_arithmetic_error_exits_1(capsys, monkeypatch):
     from shrubstat import counts
 

@@ -60,6 +60,12 @@ def test_command_skips_series_forests_and_dataclasses(baseline, argv):
     assert "json" not in loaded  # text output
 
 
+def test_seq_loads_no_polynomial(baseline):
+    argv = ["seq", "--name", "LB", "--count", "5"]
+    loaded = loaded_after(f"from shrubstat.cli import main\nmain({argv!r})") - baseline
+    assert not {"shrubstat.polynomial", "fractions"} & loaded
+
+
 def test_every_public_name_resolves():
     for name in shrubstat.__all__:
         value = getattr(shrubstat, name)

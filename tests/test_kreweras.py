@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -40,6 +41,18 @@ def test_is_valid_path():
     assert not is_valid_path((Step.NE, Step.W, Step.W))  # unbalanced
     assert not is_valid_path((Step.NE, Step.NE, Step.S))
     assert is_valid_path(())
+
+
+def test_is_valid_path_compares_steps_by_value():
+    assert is_valid_path("NWS") and not is_valid_path("NSS")
+    assert rows_from_path("NWS") == rows_from_path(NWS)
+    for length in range(7):
+        for letters in itertools.product("NWSX", repeat=length):
+            word = "".join(letters)
+            walk = "X" not in word and is_valid_path(path_from_word(word))
+            assert is_valid_path(word) == walk, word
+    assert not is_valid_path("nws")
+    assert not is_valid_path((Step.NE, 1, Step.S))
 
 
 def test_enumerate_paths_small():

@@ -90,31 +90,6 @@ def _check_guard(args, name: str, n: int) -> None:
         )
 
 
-def _emit(args, command: str, params: dict, payload, ok: bool = True) -> int:
-    """Print the result in the chosen format; return the exit code."""
-    status = "ok" if ok else "fail"
-    if args.format == "json":
-        import json
-
-        record = {
-            "command": command,
-            "params": params,
-            "payload": payload,
-            "status": status,
-        }
-        print(json.dumps(record, sort_keys=True))
-    elif args.format == "csv":
-        rows = payload if payload and isinstance(payload[0], list) else [payload]
-        for row in rows:
-            print(",".join(row))
-    else:
-        for line in _text_lines(payload):
-            print(line)
-        if not ok:
-            print("FAIL")
-    return EXIT_OK if ok else EXIT_FAIL
-
-
 #: Lines per write call of a streamed listing.
 _BATCH = 4096
 
@@ -133,14 +108,28 @@ def _write_lines(lines: Iterable[str], sep: str = "\n") -> None:
         write("\n")
 
 
-def _text_lines(payload) -> list[str]:
-    if payload and isinstance(payload[0], list):
-        return ["  ".join(row) for row in payload]
-    return [", ".join(payload)] if payload else []
+def _emit(args, command: str, params: dict, payload, ok: bool = True) -> int:
+    """Write the result in the chosen format; return the exit code.
 
+    The payload is one row (a list of strings) or an iterable of rows,
+    which text and CSV write as they are produced."""
+    flat = isinstance(payload, list) and isinstance(payload[0], str)
+    if args.format == "json":
+        import json
 
-def _poly_payload(poly) -> list[str]:
-    return [str(c) for c in poly.int_coeffs()] or ["0"]
+        record = {
+            "command": command,
+            "params": params,
+            "payload": payload if isinstance(payload, list) else list(payload),
+            "status": "ok" if ok else "fail",
+        }
+        _write_lines([json.dumps(record, sort_keys=True)])
+    else:
+        sep = "," if args.format == "csv" else ", " if flat else "  "
+        _write_lines(map(sep.join, [payload] if flat else payload))
+        if not ok and args.format == "text":
+            print("FAIL")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_coeff(args) -> int:
@@ -151,13 +140,13 @@ def cmd_coeff(args) -> int:
     # The t^(3n) coefficient of a reciprocal or an exact quotient depends
     # only on the terms through t^(3n): building past n shrubs (or past
     # one, for n = 0) changes nothing but the cost.
-    gf = series.build_gf(args.stat, min(args.order, max(args.n, 1)))
-    poly = gf.coeff(args.n)
-    params = {"stat": args.stat, "n": args.n, "order": args.order}
+    poly = series.build_gf(args.stat, max(args.n, 1)).coeff(args.n)
     if args.format == "text":
-        print(str(poly))
-        return EXIT_OK
-    return _emit(args, "coeff", params, _poly_payload(poly))
+        payload = [str(poly)]
+    else:
+        payload = [str(c) for c in poly.int_coeffs()] or ["0"]
+    params = {"stat": args.stat, "n": args.n, "order": args.order}
+    return _emit(args, "coeff", params, payload)
 
 
 def cmd_seq(args) -> int:
@@ -178,6 +167,8 @@ def cmd_verify(args) -> int:
     from . import forests, series
     from .polynomial import XPoly
 
+    if args.max_n < 1:
+        raise ValueError("max-n must be >= 1")
     _check_guard(args, "verify", args.max_n)
     gf = series.build_gf(args.stat, args.max_n)
     rows = []
@@ -265,15 +256,9 @@ def cmd_extensions(args) -> int:
     if args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
     else:
+        names = [str(label) for label in range(poset.size + 1)]
         labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
-        if args.format != "json":
-            sep = "," if args.format == "csv" else "  "
-            names = [str(label) for label in range(poset.size + 1)]
-            _write_lines(
-                sep.join([names[v] for v in labeling]) for labeling in labelings
-            )
-            return EXIT_OK
-        payload = [[str(v) for v in labeling] for labeling in labelings]
+        payload = ([names[v] for v in labeling] for labeling in labelings)
     return _emit(args, "extensions", params, payload)
 
 

@@ -25,7 +25,7 @@ are pure; values are immutable and safe to share across threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -108,19 +108,7 @@ def forest_from_perm(word: Sequence[int]) -> Forest:
     """Inverse of :func:`forest_to_perm`; rejects words outside the image."""
     if len(word) == 0 or len(word) % 3 != 0:
         raise ValueError(f"word length must be a positive multiple of 3: {len(word)}")
-    n = len(word) // 3
-    if sorted(word) != list(range(1, 3 * n + 1)):
-        raise ValueError(f"word must use exactly the labels 1..{3 * n}")
-    shrubs = []
-    for i in range(n):
-        root, left, right = word[3 * i : 3 * i + 3]
-        if root > left or root > right:
-            raise ValueError(
-                f"triple {(root, left, right)} at shrub {i + 1} violates the "
-                "root-is-smallest condition"
-            )
-        shrubs.append(Shrub(root, left, right))
-    return Forest(tuple(shrubs))
+    return Forest.from_triples([word[i : i + 3] for i in range(0, len(word), 3)])
 
 
 def rises(word: Sequence[int]) -> int:
@@ -217,19 +205,13 @@ def _forests_rec(
         return
     # remaining is sorted; scanning roots, then left, then right leaves in
     # ascending order makes the stream lexicographic in the forest word.
-    for i in range(len(remaining) - 2):
-        root = remaining[i]
+    for i, root in enumerate(remaining[:-2]):
         larger = remaining[i + 1 :]
-        for a in range(len(larger)):
-            for b in range(len(larger)):
-                if a == b:
-                    continue
-                rest = remaining[:i] + tuple(
-                    v for k, v in enumerate(larger) if k != a and k != b
-                )
-                acc.append(Shrub(root, larger[a], larger[b]))
-                yield from _forests_rec(rest, acc, n)
-                acc.pop()
+        for left, right in permutations(larger, 2):
+            rest = remaining[:i] + tuple(v for v in larger if v not in (left, right))
+            acc.append(Shrub(root, left, right))
+            yield from _forests_rec(rest, acc, n)
+            acc.pop()
 
 
 @lru_cache(maxsize=None)

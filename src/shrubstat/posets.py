@@ -167,45 +167,35 @@ def enumerate_linear_extensions(
         bucket.clear()
 
 
-def _shrub_covers(n: int) -> list[tuple[int, int]]:
-    out = []
-    for i in range(n):
-        out.append((3 * i, 3 * i + 1))
-        out.append((3 * i, 3 * i + 2))
-    return out
+def _shrub_covers(n: int, links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """n shrubs, each root below both of its leaves; a link (a, b) puts
+    position a of every shrub below position b of the next (0 root,
+    1 left leaf, 2 right leaf)."""
+    covers = [(3 * i, 3 * i + leaf) for i in range(n) for leaf in (1, 2)]
+    covers += [(3 * i + a, 3 * i + 3 + b) for i in range(n - 1) for a, b in links]
+    return covers
+
+
+def _linked_poset(n: int, links: tuple[tuple[int, int], ...]) -> Poset:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Poset.from_covers(3 * n, _shrub_covers(n, links))
 
 
 def build_isf_poset(n: int) -> Poset:
     """Forests whose right leaf precedes the next root (word boundaries ascend)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    covers = _shrub_covers(n)
-    covers += [(3 * i + 2, 3 * i + 3) for i in range(n - 1)]
-    return Poset.from_covers(3 * n, covers)
+    return _linked_poset(n, ((2, 0),))
 
 
 def build_ibf_poset(n: int) -> Poset:
     """Forests whose roots increase left to right."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    covers = _shrub_covers(n)
-    covers += [(3 * i, 3 * i + 3) for i in range(n - 1)]
-    return Poset.from_covers(3 * n, covers)
+    return _linked_poset(n, ((0, 0),))
 
 
 def build_lex_poset(n: int) -> Poset:
     """Componentwise-increasing forests: three rows of n, chained left to
     right, with each root below both of its leaves."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    covers = _shrub_covers(n)
-    for i in range(n - 1):
-        covers += [
-            (3 * i, 3 * i + 3),  # root row
-            (3 * i + 1, 3 * i + 4),  # left-leaf row
-            (3 * i + 2, 3 * i + 5),  # right-leaf row
-        ]
-    return Poset.from_covers(3 * n, covers)
+    return _linked_poset(n, ((0, 0), (1, 1), (2, 2)))
 
 
 def build_adjacent_poset(variant: str, n: int) -> Poset:
@@ -221,23 +211,14 @@ def build_adjacent_poset(variant: str, n: int) -> Poset:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        if variant == "A":
-            return Poset.from_covers(0, [])
-        if variant in ("E", "S"):
-            return Poset.from_covers(1, [])
-        return Poset.from_covers(2, [(0, 1)])
-    covers = _shrub_covers(n)
-    covers += [(3 * i + 2, 3 * i + 4) for i in range(n - 1)]
     size = 3 * n
-    if variant == "E":
-        covers.append((3 * n - 1, size))
-        size += 1
-    elif variant == "S":
-        covers.append((size, 1))
-        size += 1
-    elif variant == "B":
-        covers.append((size, 1))  # start node below first left leaf
-        covers.append((3 * n - 1, size + 1))  # last right leaf below end node
-        size += 2
+    start = end = None  # the caps, numbered after the shrubs
+    if variant in ("S", "B"):
+        start, size = size, size + 1
+    if variant in ("E", "B"):
+        end, size = size, size + 1
+    # start? -> left leaf, right leaf -> next left leaf, ..., right leaf -> end?
+    chain = [start, *(3 * i + leaf for i in range(n) for leaf in (1, 2)), end]
+    covers = _shrub_covers(n, ())
+    covers += [(u, v) for u, v in zip(chain[::2], chain[1::2]) if None not in (u, v)]
     return Poset.from_covers(size, covers)

@@ -60,6 +60,15 @@ def test_coeff_builds_only_to_n(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_coeff_n_0_at_order_0(capsys):
+    code, out, err = run(capsys, "coeff", "--stat", "ris", "--n", "0", "--order", "0")
+    assert (code, out, err) == (0, "1\n", "")
+    assert (code, out) == run(capsys, "coeff", "--stat", "ris", "--n", "0")[:2]
+    argv = ("coeff", "--stat", "minris", "--n", "0", "--order", "0", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["payload"] == ["1"]
+
+
 def test_coeff_unknown_stat_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["coeff", "--stat", "bogus", "--n", "1"])
@@ -116,6 +125,12 @@ def test_verify_guard(capsys, monkeypatch):
         assert err.startswith("error: SHRUBSTAT_MAX_N")
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_verify_rejects_max_n_below_1(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--stat", "ris", "--max-n", max_n)
+    assert (code, out, err) == (2, "", "error: max-n must be >= 1\n")
+
+
 def test_verify_detects_mismatch(capsys, monkeypatch):
     from shrubstat import cli as cli_module
 
@@ -164,6 +179,16 @@ def test_list_output_is_unchanged_by_streaming(capsys):
     assert code == 0 and out == "\n".join(PATHS_2) + "\n"
     code, out, _ = run(capsys, "paths", "--n", "2", "--list", "--format", "csv")
     assert code == 0 and out == ",".join(PATHS_2) + "\n"
+
+
+def test_list_output_as_json(capsys):
+    listing = ("extensions", "--family", "A", "--n", "2", "--mode", "list")
+    code, out, _ = run(capsys, *listing, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["params"] == {"family": "A", "mode": "list", "n": 2}
+    assert record["payload"] == [list(row) for row in A2_LABELINGS]
+    assert record["status"] == "ok"
 
 
 @pytest.mark.parametrize("n", [3, 5])  # 192 walks, and 46 592 over several batches

@@ -132,6 +132,43 @@ def test_adjacent_family_sizes():
     assert build_adjacent_poset("B", 5).size == 17
 
 
+# Exact cover sets: elements 3i, 3i+1, 3i+2 are the root, left leaf and
+# right leaf of shrub i; the caps of E, S and B come after the shrubs (in
+# B the start cap first), and list output prints labels in this order.
+ONE_SHRUB = {(0, 1), (0, 2)}
+TWO_SHRUBS = ONE_SHRUB | {(3, 4), (3, 5)}
+FAMILY_COVERS = {
+    ("A", 0): (0, set()),
+    ("A", 1): (3, ONE_SHRUB),
+    ("A", 2): (6, TWO_SHRUBS | {(2, 4)}),
+    ("E", 0): (1, set()),
+    ("E", 1): (4, ONE_SHRUB | {(2, 3)}),
+    ("E", 2): (7, TWO_SHRUBS | {(2, 4), (5, 6)}),
+    ("S", 0): (1, set()),
+    ("S", 1): (4, ONE_SHRUB | {(3, 1)}),
+    ("S", 2): (7, TWO_SHRUBS | {(2, 4), (6, 1)}),
+    ("B", 0): (2, {(0, 1)}),
+    ("B", 1): (5, ONE_SHRUB | {(3, 1), (2, 4)}),
+    ("B", 2): (8, TWO_SHRUBS | {(2, 4), (6, 1), (5, 7)}),
+    ("ISF", 1): (3, ONE_SHRUB),
+    ("ISF", 2): (6, TWO_SHRUBS | {(2, 3)}),
+    ("IBF", 1): (3, ONE_SHRUB),
+    ("IBF", 2): (6, TWO_SHRUBS | {(0, 3)}),
+    ("L", 1): (3, ONE_SHRUB),
+    ("L", 2): (6, TWO_SHRUBS | {(0, 3), (1, 4), (2, 5)}),
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(FAMILY_COVERS))
+def test_family_cover_sets(family, n):
+    builders = {"ISF": build_isf_poset, "IBF": build_ibf_poset, "L": build_lex_poset}
+    if family in builders:
+        poset = builders[family](n)
+    else:
+        poset = build_adjacent_poset(family, n)
+    assert (poset.size, set(poset.covers)) == FAMILY_COVERS[family, n]
+
+
 def test_adjacent_family_matches_recurrences():
     for n in (0, 1, 2, 3):
         for variant, kind in (("A", "LA"), ("E", "LE"), ("S", "LS"), ("B", "LB")):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from importlib import import_module
 from itertools import islice
 
@@ -90,8 +90,14 @@ def _check_guard(args, name: str, n: int) -> None:
         )
 
 
-#: Lines per write call of a streamed listing.
+#: Lines (or JSON payload items) per write call of a streamed listing.
 _BATCH = 4096
+
+
+def _batches(items: Iterable) -> Iterator[list]:
+    """The items in lists of _BATCH, the last one shorter."""
+    it = iter(items)
+    return iter(lambda: list(islice(it, _BATCH)), [])
 
 
 def _write_lines(lines: Iterable[str], sep: str = "\n") -> None:
@@ -99,32 +105,42 @@ def _write_lines(lines: Iterable[str], sep: str = "\n") -> None:
     produced: one write call per batch of lines, so a listing is never
     held whole and the stream's per-call cost is paid per batch."""
     write = sys.stdout.write
-    it = iter(lines)
     lead = ""
-    while batch := list(islice(it, _BATCH)):
+    for batch in _batches(lines):
         write(lead + sep.join(batch))
         lead = sep
     if lead:
         write("\n")
 
 
+def _write_json(command: str, params: dict, payload: Iterable, ok: bool) -> None:
+    """Write ``json.dumps(record, sort_keys=True)`` and a newline for the
+    record holding payload, dumping one batch of payload items at a time
+    so the payload is never held whole.  The keys sort as command,
+    params, payload, status.  The first batch is pulled before anything
+    is written, so an error raised on first use leaves stdout empty."""
+    import json
+
+    head = json.dumps({"command": command, "params": params}, sort_keys=True)
+    tail = json.dumps({"status": "ok" if ok else "fail"})
+    batches = _batches(payload)
+    first = next(batches, [])
+    write = sys.stdout.write
+    write(head[:-1] + ', "payload": [' + json.dumps(first)[1:-1])
+    for batch in batches:  # a dumped list without its brackets
+        write(", " + json.dumps(batch)[1:-1])
+    write("], " + tail[1:] + "\n")
+
+
 def _emit(args, command: str, params: dict, payload, ok: bool = True) -> int:
     """Write the result in the chosen format; return the exit code.
 
-    The payload is one row (a list of strings) or an iterable of rows,
-    which text and CSV write as they are produced."""
-    flat = isinstance(payload, list) and isinstance(payload[0], str)
+    The payload is one row (a list of strings) or an iterable of rows
+    (in JSON also of strings), written as they are produced."""
     if args.format == "json":
-        import json
-
-        record = {
-            "command": command,
-            "params": params,
-            "payload": payload if isinstance(payload, list) else list(payload),
-            "status": "ok" if ok else "fail",
-        }
-        _write_lines([json.dumps(record, sort_keys=True)])
+        _write_json(command, params, payload, ok)
     else:
+        flat = isinstance(payload, list) and isinstance(payload[0], str)
         sep = "," if args.format == "csv" else ", " if flat else "  "
         _write_lines(map(sep.join, [payload] if flat else payload))
         if not ok and args.format == "text":
@@ -194,7 +210,7 @@ def cmd_paths(args) -> int:
         if args.format != "json":  # csv: one row holding every walk
             _write_lines(words, "," if args.format == "csv" else "\n")
             return EXIT_OK
-        payload = list(words)
+        payload = words
     else:
         payload = [str(kreweras.count_paths(args.n))]
     return _emit(args, "paths", params, payload)

@@ -2,8 +2,11 @@
 
 A labeling (linear extension) assigns {1..size} bijectively to the
 elements so that every cover (u, v) gets label(u) < label(v).  Counting
-runs a dynamic program over down-sets keyed by bitmask; enumeration
-backtracks and is intended for smaller posets.
+runs a memoised dynamic program over down-sets keyed by bitmask: each
+step removes one maximal element, the maximal elements are carried down
+as a bitmask, and the memo is tested before recursing, so the recursion
+is as deep as the poset is large.  Enumeration backtracks and is
+intended for smaller posets.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -20,8 +23,9 @@ from typing import Iterable, Iterator
 from .errors import GuardExceeded
 from .record import Record
 
-#: Counting guard: widest family instance at desk scale has 14 nodes,
-#: and the down-set DP stays cheap well beyond that.
+#: Counting guard.  The CLI's count guard allows the families at n = 7
+#: (at most 23 elements: B has 29 681 down-sets); with --force, B at
+#: n = 8 has 26 elements and 110 771 down-sets, which the DP memoises.
 DEFAULT_MAX_COUNT_SIZE = 24
 #: Enumeration guard: the time grows with the number of labelings, and
 #: memory with the largest bucket of them sharing element 0's label.
@@ -54,14 +58,16 @@ class Poset(Record):
         return all(labels[u] < labels[v] for u, v in self.covers)
 
 
-def _successor_masks(poset: Poset) -> list[int]:
-    """Immediate-successor bitmasks; raises ValueError on a cycle."""
+def _cover_masks(poset: Poset) -> tuple[list[int], list[int]]:
+    """Immediate-successor and immediate-predecessor bitmasks of every
+    element; raises ValueError on a cycle."""
     succs = [0] * poset.size
-    indeg = [0] * poset.size
+    preds = [0] * poset.size
     for u, v in poset.covers:
         succs[u] |= 1 << v
-        indeg[v] += 1
+        preds[v] |= 1 << u
     # Kahn's algorithm over the cover digraph
+    indeg = [p.bit_count() for p in preds]
     queue = [v for v in range(poset.size) if indeg[v] == 0]
     seen = 0
     while queue:
@@ -76,36 +82,59 @@ def _successor_masks(poset: Poset) -> list[int]:
                 queue.append(v)
     if seen != poset.size:
         raise ValueError("cover relation contains a cycle")
-    return succs
+    return succs, preds
 
 
 def count_linear_extensions(
     poset: Poset, *, max_size: int = DEFAULT_MAX_COUNT_SIZE
 ) -> int:
-    """Exact number of linear extensions, by DP over down-set bitmasks."""
+    """Exact number of linear extensions, by DP over down-set bitmasks.
+
+    ways(D) = sum of ways(D - {v}) over the maximal elements v of the
+    down-set D.  Each call is handed those maximal elements as a bitmask,
+    so it never scans D for them; removing v leaves the others maximal
+    and makes maximal each predecessor of v whose successors have all
+    gone.  The memo is tested before the call, so each down-set is
+    entered once.  The recursion is one frame per removed element, as
+    deep as the poset is large: a poset beyond the interpreter's
+    recursion limit raises RecursionError, which the CLI reports as a
+    usage error (exit 2).
+    """
     if poset.size > max_size:
         raise GuardExceeded(
             f"poset has {poset.size} elements; pass max_size={poset.size} to count it"
         )
-    succs = _successor_masks(poset)
+    succs, preds = _cover_masks(poset)
+    if poset.size == 0:
+        return 1
+    # per element v: (bit of u, successor mask of u) for each predecessor u
+    below = [
+        [(1 << u, succs[u]) for u in range(poset.size) if preds[v] >> u & 1]
+        for v in range(poset.size)
+    ]
     memo = {0: 1}
 
-    def ways(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+    def ways(mask: int, tops: int) -> int:
+        # tops: the maximal elements of the down-set mask
         total = 0
-        m = mask
+        m = tops
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            if succs[v] & mask == 0:  # v is maximal in the down-set
-                total += ways(mask ^ low)
+            rest = mask ^ low
+            count = memo.get(rest)
+            if count is None:
+                after = tops ^ low
+                for bit, s in below[low.bit_length() - 1]:
+                    if s & rest == 0:  # u's last successor was v
+                        after |= bit
+                count = ways(rest, after)
+            total += count
         memo[mask] = total
         return total
 
-    return ways((1 << poset.size) - 1)
+    tops = sum(1 << v for v in range(poset.size) if not succs[v])
+    return ways((1 << poset.size) - 1, tops)
 
 
 def enumerate_linear_extensions(
@@ -124,14 +153,11 @@ def enumerate_linear_extensions(
             f"poset has {poset.size} elements; pass max_size={poset.size} "
             "to enumerate it"
         )
-    succs = _successor_masks(poset)
+    succs, preds = _cover_masks(poset)
     size = poset.size
     if size == 0:
         yield ()
         return
-    preds = [0] * size
-    for u, v in poset.covers:
-        preds[v] |= 1 << u
     encode = bytes if size < 256 else tuple  # compact, and sorts the same
     labels = [0] * size
     bucket: list[bytes | tuple[int, ...]] = []

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from shrubstat import XPoly, enumerate_paths, path_word
+from shrubstat import (
+    XPoly,
+    build_adjacent_poset,
+    enumerate_linear_extensions,
+    enumerate_paths,
+    path_word,
+)
 from shrubstat.cli import main
 
 
@@ -189,6 +195,55 @@ def test_list_output_as_json(capsys):
     assert record["params"] == {"family": "A", "mode": "list", "n": 2}
     assert record["payload"] == [list(row) for row in A2_LABELINGS]
     assert record["status"] == "ok"
+
+
+def _a3_rows():
+    poset = build_adjacent_poset("A", 3)
+    return [[str(v) for v in lab] for lab in enumerate_linear_extensions(poset)]
+
+
+@pytest.mark.parametrize(
+    "argv, params, payload",
+    [
+        (
+            "paths --n 4 --list",
+            {"n": 4, "list": True},
+            lambda: [path_word(p) for p in enumerate_paths(4)],
+        ),
+        (  # 46 592 walks, over several write batches
+            "paths --n 5 --list",
+            {"n": 5, "list": True},
+            lambda: [path_word(p) for p in enumerate_paths(5)],
+        ),
+        (
+            "extensions --family A --n 3 --mode list",
+            {"family": "A", "n": 3, "mode": "list"},
+            _a3_rows,
+        ),
+        (
+            "coeff --stat risA --n 3",
+            {"stat": "risA", "n": 3, "order": 6},
+            lambda: ["3194", "7052", "3194"],
+        ),
+    ],
+)
+def test_streamed_json_equals_one_dump(capsys, argv, params, payload):
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    record = {
+        "command": argv.split()[0],
+        "params": params,
+        "payload": payload(),
+        "status": "ok",
+    }
+    assert out == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_json_listing_error_on_first_row_writes_nothing(capsys):
+    argv = ("extensions", "--family", "A", "--n", "400", "--mode", "list")
+    code, out, err = run(capsys, *argv, "--force", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "recursion" in err
 
 
 @pytest.mark.parametrize("n", [3, 5])  # 192 walks, and 46 592 over several batches

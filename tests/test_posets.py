@@ -102,6 +102,15 @@ def test_enumeration_equals_sorted_filtered_permutations(poset):
     assert list(enumerate_linear_extensions(poset)) == brute
 
 
+@settings(deadline=None)
+@given(dags())
+def test_count_equals_filtered_permutations(poset):
+    brute = sum(
+        poset.check_labeling(p) for p in permutations(range(1, poset.size + 1))
+    )
+    assert count_linear_extensions(poset) == brute
+
+
 def test_enumeration_edge_sizes():
     assert list(enumerate_linear_extensions(Poset.from_covers(0, []))) == [()]
     assert list(enumerate_linear_extensions(chain(300), max_size=300)) == [

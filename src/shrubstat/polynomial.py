@@ -14,6 +14,8 @@ Scalar = Union[int, Fraction]
 
 
 def _norm(value: Scalar) -> Scalar:
+    if type(value) is int:  # the common case, without an ABC instance check
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value

@@ -23,6 +23,7 @@ from shrubstat import (
     within_rise_poly,
     within_shrub_rises,
 )
+from shrubstat.posets import _TAIL_LABELS
 
 
 def chain(k):
@@ -64,9 +65,17 @@ def test_enumeration_matches_count_and_is_sorted():
         build_ibf_poset(2),
         build_lex_poset(2),
         build_adjacent_poset("B", 1),
+        # all labels from the table of completions, then one backtracked
+        antichain(_TAIL_LABELS),
+        antichain(_TAIL_LABELS + 1),
+        build_adjacent_poset("A", 3),
+        # element 0 maximal: the late buckets label it inside the tail
+        Poset.from_covers(9, [(1, 0), (2, 0), (3, 4), (4, 5), (6, 7), (7, 8)]),
+        # 300 elements: two bytes per label; element 0 is free
+        Poset.from_covers(300, [(i, i + 1) for i in range(1, 299)]),
     ):
-        labelings = list(enumerate_linear_extensions(poset))
-        assert len(labelings) == count_linear_extensions(poset)
+        labelings = list(enumerate_linear_extensions(poset, max_size=poset.size))
+        assert len(labelings) == count_linear_extensions(poset, max_size=poset.size)
         assert labelings == sorted(labelings)
         assert len(set(labelings)) == len(labelings)
         assert all(poset.check_labeling(lab) for lab in labelings)
@@ -81,13 +90,20 @@ def test_guards():
 
 
 @st.composite
-def dags(draw, max_size=7):
-    """Random posets on at most max_size elements; the topological order
-    is a random permutation, so element 0 may have predecessors."""
-    size = draw(st.integers(0, max_size))
+def dags(draw, min_size=0, max_size=7, max_dropped=None):
+    """Random posets on min_size..max_size elements; the topological order
+    is a random permutation, so element 0 may have predecessors.  Each
+    pair in that order is a cover unless dropped; max_dropped caps the
+    dropped pairs, and so the labelings at 2**max_dropped, since a
+    labeling can only invert dropped pairs."""
+    size = draw(st.integers(min_size, max_size))
     order = draw(st.permutations(range(size)))
     pairs = [(order[i], order[j]) for i in range(size) for j in range(i + 1, size)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if max_dropped is None:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    else:
+        dropped = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=max_dropped))
+        keep = [i not in dropped for i in range(len(pairs))]
     return Poset.from_covers(size, [pair for pair, k in zip(pairs, keep) if k])
 
 
@@ -100,6 +116,16 @@ def test_enumeration_equals_sorted_filtered_permutations(poset):
         if poset.check_labeling(p)
     ]
     assert list(enumerate_linear_extensions(poset)) == brute
+
+
+@settings(deadline=None)
+@given(dags(min_size=8, max_size=11, max_dropped=10))
+def test_enumeration_past_the_tail(poset):
+    # 8..11 elements: the first labels are backtracked, the last from the table
+    labelings = list(enumerate_linear_extensions(poset))
+    assert labelings == sorted(set(labelings))
+    assert all(poset.check_labeling(lab) for lab in labelings)
+    assert len(labelings) == count_linear_extensions(poset)
 
 
 @settings(deadline=None)

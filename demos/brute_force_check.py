@@ -9,7 +9,7 @@ import time
 
 from shrubstat import build_gf, min_rise_count, rise_distribution
 
-MAX_N = 3  # raise to 4 for the full desk-scale check (a few seconds)
+MAX_N = 4  # the full desk-scale check; 5 is past the sweep's guard
 
 for stat in ("ris", "risT", "risB", "risL", "risA", "minris"):
     gf = build_gf(stat, MAX_N)

@@ -24,6 +24,7 @@ are pure; values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
@@ -214,6 +215,69 @@ def _forests_rec(
             acc.pop()
 
 
+#: The 20 ways to cut six sorted positions into the triple of the next
+#: to last shrub (i, j, k) and that of the last shrub (p, q, s), whose
+#: root p is forced: it is the smallest label left.
+_SPLITS = tuple(
+    (i, j, k, *(p for p in range(6) if p not in (i, j, k)))
+    for i, j, k in combinations(range(6), 3)
+)
+
+
+@lru_cache(maxsize=None)
+def _tail_counts(
+    key: tuple[int, int, int]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """What the 80 two-shrub tails on six labels add to the histograms.
+
+    ``key`` is (rank of pr, rank of pu, rank of pv): how many of the six
+    remaining labels lie below each label of the previous shrub, 6 for
+    the sentinel above every label.  The six labels stand in as 2, 4,
+    ..., 12 and a label of rank r as 2r + 1, which keeps every
+    comparison the tails make.  Returns, for ris, risT, risB, risL and
+    risA in that order, the nonzero (offset, count) pairs: ``count``
+    tails raise the statistic by ``offset`` over the prefix's value.
+    """
+    remaining = (2, 4, 6, 8, 10, 12)
+    pr, pu, pv = (2 * r + 1 for r in key)
+    racc = tacc = bacc = lacc = aacc = 0
+    word, total, base, lex, adj = ([0] * 7 for _ in range(5))
+    # shrub n-1 is (root, a, b) or (root, b, a); the last shrub is
+    # (r, x, y) or (r, y, x); a < b and x < y.  risT and risB do
+    # not depend on leaf order, so each adds all four forests.
+    for i, j, k, p, q, s in _SPLITS:
+        root, a, b = remaining[i], remaining[j], remaining[k]
+        r, x, y = remaining[p], remaining[q], remaining[s]
+        up = pr < root
+        total[tacc + (pu < root and pv < root) + (b < r)] += 4
+        base[bacc + up + (root < r)] += 4
+        # root -> left always ascends, left -> right iff left < right
+        w = racc + (pv < root) + 2 + (b < r)  # after (root, a, b)
+        word[w + 2] += 1
+        word[w + 1] += 1
+        w = racc + (pv < root) + 1 + (a < r)  # after (root, b, a)
+        word[w + 2] += 1
+        word[w + 1] += 1
+        lab = lacc + (up and pu < a and pv < b)
+        lba = lacc + (up and pu < b and pv < a)
+        if root < r:
+            lex[lab + (a < x and b < y)] += 1
+            lex[lab + (a < y and b < x)] += 1
+            lex[lba + (b < x and a < y)] += 1
+            lex[lba + (b < y and a < x)] += 1
+        else:
+            lex[lab] += 2
+            lex[lba] += 2
+        adj[aacc + (pv < a) + (b < x)] += 1
+        adj[aacc + (pv < a) + (b < y)] += 1
+        adj[aacc + (pv < b) + (a < x)] += 1
+        adj[aacc + (pv < b) + (a < y)] += 1
+    return tuple(
+        tuple((offset, count) for offset, count in enumerate(hist) if count)
+        for hist in (word, total, base, lex, adj)
+    )
+
+
 @lru_cache(maxsize=None)
 def _distributions(n: int) -> dict[str, tuple[int, ...]]:
     """One exhaustive sweep counting all five statistics at once.
@@ -227,51 +291,31 @@ def _distributions(n: int) -> dict[str, tuple[int, ...]]:
     orders (a, b) and (b, a) follow.  The previous shrub's labels
     (pr, pu, pv) and the five running counts go down the recursion; the
     first shrub sees a sentinel above every label, so it adds no rise
-    between shrubs.  When six labels remain the last two shrubs are
-    inlined: ``splits`` lists the 20 ways to cut six sorted positions
-    into the triple of shrub n-1 and the triple of the last shrub, whose
-    root is forced (its smallest label), and each of the four leaf-order
-    combinations goes straight into the histograms with no further call.
+    between shrubs.  Every shrub down to the third from last is walked
+    forest by forest.  When six labels remain, the 80 ways to finish
+    (two shrubs) come from :func:`_tail_counts`.  That table is exact:
+    each comparison a tail makes is between a label of the previous
+    shrub and a remaining label, or between two remaining labels, so
+    its outcome depends only on how pr, pu and pv rank among the six
+    remaining labels.  The ranks are the key (140 keys, shared by every
+    n); each entry's counts land at the running counts plus its
+    offsets.
     """
     word = [0] * (3 * n)
     total, base, lex, adj = ([0] * n for _ in range(4))
-    splits = [
-        (i, j, k, *(p for p in range(6) if p not in (i, j, k)))
-        for i, j, k in combinations(range(6), 3)
-    ]
+    hists = (word, total, base, lex, adj)
 
     def sweep(remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc):
         if len(remaining) == 6:
-            # shrub n-1 is (root, a, b) or (root, b, a); the last shrub is
-            # (r, x, y) or (r, y, x); a < b and x < y.  risT and risB do
-            # not depend on leaf order, so each adds all four forests.
-            for i, j, k, p, q, s in splits:
-                root, a, b = remaining[i], remaining[j], remaining[k]
-                r, x, y = remaining[p], remaining[q], remaining[s]
-                up = pr < root
-                total[tacc + (pu < root and pv < root) + (b < r)] += 4
-                base[bacc + up + (root < r)] += 4
-                # root -> left always ascends, left -> right iff left < right
-                w = racc + (pv < root) + 2 + (b < r)  # after (root, a, b)
-                word[w + 2] += 1
-                word[w + 1] += 1
-                w = racc + (pv < root) + 1 + (a < r)  # after (root, b, a)
-                word[w + 2] += 1
-                word[w + 1] += 1
-                lab = lacc + (up and pu < a and pv < b)
-                lba = lacc + (up and pu < b and pv < a)
-                if root < r:
-                    lex[lab + (a < x and b < y)] += 1
-                    lex[lab + (a < y and b < x)] += 1
-                    lex[lba + (b < x and a < y)] += 1
-                    lex[lba + (b < y and a < x)] += 1
-                else:
-                    lex[lab] += 2
-                    lex[lba] += 2
-                adj[aacc + (pv < a) + (b < x)] += 1
-                adj[aacc + (pv < a) + (b < y)] += 1
-                adj[aacc + (pv < b) + (a < x)] += 1
-                adj[aacc + (pv < b) + (a < y)] += 1
+            key = (
+                bisect_left(remaining, pr),
+                bisect_left(remaining, pu),
+                bisect_left(remaining, pv),
+            )
+            accs = (racc, tacc, bacc, lacc, aacc)
+            for hist, acc, pairs in zip(hists, accs, _tail_counts(key)):
+                for offset, count in pairs:
+                    hist[acc + offset] += count
             return
         if not remaining:  # n = 1: the first shrub was also the last
             word[racc] += 1

@@ -21,6 +21,7 @@ Elements of the forest-shaped posets are indexed in word positions:
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -71,6 +72,21 @@ class Poset(Record):
         return all(labels[u] < labels[v] for u, v in self.covers)
 
 
+def _check_depth(poset: Poset) -> None:
+    """Refuse a poset deeper than the interpreter's recursion limit.
+
+    The DP and the enumerator recurse once per element, so such a poset
+    must fail anyway; failing before the cover masks are built keeps
+    their memory, quadratic in the size, from being spent on it.
+    """
+    limit = sys.getrecursionlimit()
+    if poset.size > limit:
+        raise RecursionError(
+            f"a poset of {poset.size} elements recurses past the "
+            f"recursion limit of {limit}"
+        )
+
+
 def _cover_masks(poset: Poset) -> tuple[list[int], list[int]]:
     """Immediate-successor and immediate-predecessor bitmasks of every
     element; raises ValueError on a cycle."""
@@ -110,13 +126,14 @@ def count_linear_extensions(
     gone.  The memo is tested before the call, so each down-set is
     entered once.  The recursion is one frame per removed element, as
     deep as the poset is large: a poset beyond the interpreter's
-    recursion limit raises RecursionError, which the CLI reports as a
-    usage error (exit 2).
+    recursion limit raises RecursionError before any work, which the CLI
+    reports as a usage error (exit 2).
     """
     if poset.size > max_size:
         raise GuardExceeded(
             f"poset has {poset.size} elements; pass max_size={poset.size} to count it"
         )
+    _check_depth(poset)
     succs, preds = _cover_masks(poset)
     if poset.size == 0:
         return 1
@@ -171,13 +188,15 @@ def enumerate_linear_extensions(
     the most significant field, so a labeling is its head's int or'ed
     with a completion's, and int order is the order of label words.
     The recursion takes one frame per label (and two more), so a poset
-    beyond the interpreter's recursion limit raises RecursionError.
+    beyond the interpreter's recursion limit raises RecursionError before
+    any work.
     """
     if poset.size > max_size:
         raise GuardExceeded(
             f"poset has {poset.size} elements; pass max_size={poset.size} "
             "to enumerate it"
         )
+    _check_depth(poset)
     succs, preds = _cover_masks(poset)
     size = poset.size
     if size == 0:

@@ -12,6 +12,7 @@ from shrubstat import (
     enumerate_linear_extensions,
     enumerate_paths,
     path_word,
+    posets,
 )
 from shrubstat.cli import main
 
@@ -267,6 +268,19 @@ def test_recursion_error_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--force")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "recursion" in err
+
+
+def test_poset_past_the_recursion_limit_exits_2(capsys, monkeypatch):
+    # refused by size before the per-element cover masks are built
+    def no_masks(poset):
+        raise AssertionError("_cover_masks ran")
+
+    monkeypatch.setattr(posets, "_cover_masks", no_masks)
+    code, out, err = run(capsys, "extensions", "--family", "A", "--n", "400", "--force")
+    assert code == 2 and out == ""
+    assert err.startswith("error: n is too large for this command (")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "1200 elements" in err
 
 
 @pytest.mark.parametrize(

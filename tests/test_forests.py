@@ -244,6 +244,25 @@ def test_sweep_visits_every_forest_at_n4():
     assert all(sum(hist) == forest_count(4) == 5913600 for hist in dists.values())
 
 
+def test_tail_table_is_filled_at_n3():
+    # the n = 4 sweep reads only tail entries the n = 3 sweep filled, and
+    # the n = 3 sweep is checked forest by forest above
+    forests._distributions.cache_clear()
+    forests._tail_counts.cache_clear()
+    forests._distributions(3)
+    keys = [
+        (r, u, v) for r in range(7) for u in range(r, 7) for v in range(r, 7)
+    ]
+    assert len(keys) == forests._tail_counts.cache_info().currsize == 140
+    forests._distributions(4)
+    assert forests._tail_counts.cache_info().currsize == 140
+    for key in keys:
+        entry = forests._tail_counts(key)
+        assert len(entry) == len(RiseKind)
+        assert all(sum(count for _, count in pairs) == 80 for pairs in entry)
+    assert forests._tail_counts.cache_info().currsize == 140
+
+
 def test_exactness_check_raises_even_under_optimisation(monkeypatch):
     monkeypatch.setattr(forests, "factorial", lambda m: 1)
     with pytest.raises(ArithmeticError):

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -23,6 +24,7 @@ from shrubstat import (
     within_rise_poly,
     within_shrub_rises,
 )
+from shrubstat import posets
 from shrubstat.posets import _TAIL_LABELS
 
 
@@ -87,6 +89,22 @@ def test_guards():
     with pytest.raises(GuardExceeded):
         list(enumerate_linear_extensions(antichain(13)))
     assert count_linear_extensions(chain(30), max_size=30) == 1
+
+
+def test_depth_is_checked_before_the_masks(monkeypatch):
+    # a poset past the recursion limit fails before any per-element masks
+    def no_masks(poset):
+        raise AssertionError("_cover_masks ran")
+
+    monkeypatch.setattr(posets, "_cover_masks", no_masks)
+    size = sys.getrecursionlimit() + 1
+    poset = antichain(size)
+    for attempt in (
+        lambda: count_linear_extensions(poset, max_size=size),
+        lambda: next(enumerate_linear_extensions(poset, max_size=size)),
+    ):
+        with pytest.raises(RecursionError, match=f"{size} elements.* {size - 1}"):
+            attempt()
 
 
 @st.composite

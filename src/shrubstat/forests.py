@@ -168,6 +168,22 @@ def forest_count(n: int) -> int:
     return count
 
 
+def _check_shrubs(n: int, max_shrubs: int) -> None:
+    """Refuse n < 1, and n past the guard unless max_shrubs allows it.
+
+    The message gives the number of forests as a formula: computing
+    (3n)!/3**n takes seconds at n = 10**5, and Python refuses to write
+    it out past 4300 digits (n of about 600).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > max_shrubs:
+        raise GuardExceeded(
+            f"{n} shrubs make (3n)!/3**n forests to visit; "
+            f"pass max_shrubs={n} to allow it"
+        )
+
+
 def enumerate_forests(
     n: int,
     *,
@@ -180,13 +196,7 @@ def enumerate_forests(
     given one; the streams over all valid first shrubs partition the
     full enumeration, so distribution sums can be merged associatively.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > max_shrubs:
-        raise GuardExceeded(
-            f"enumerating {n} shrubs means {forest_count(n)} forests; "
-            f"pass max_shrubs={n} to allow it"
-        )
+    _check_shrubs(n, max_shrubs)
     labels = tuple(range(1, 3 * n + 1))
     if first is None:
         prefix: list[Shrub] = []
@@ -215,13 +225,46 @@ def _forests_rec(
             acc.pop()
 
 
-#: The 20 ways to cut six sorted positions into the triple of the next
-#: to last shrub (i, j, k) and that of the last shrub (p, q, s), whose
-#: root p is forced: it is the smallest label left.
-_SPLITS = tuple(
-    (i, j, k, *(p for p in range(6) if p not in (i, j, k)))
-    for i, j, k in combinations(range(6), 3)
-)
+def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc, lookup):
+    """Add every forest on ``remaining`` after the shrub (pr, pu, pv).
+
+    ``remaining`` is sorted, so ``combinations`` yields each next shrub
+    as (root, a, b) with the root smallest, and both leaf orders (a, b)
+    and (b, a) follow.  The five running counts (ris, risT, risB, risL,
+    risA) go down the recursion, and the leaf adds one forest to each
+    histogram at its count.  With ``lookup`` on, the last two shrubs
+    come from :func:`_tail_counts` once six labels remain.
+    """
+    if not remaining:
+        word, total, base, lex, adj = hists
+        word[racc] += 1
+        total[tacc] += 1
+        base[bacc] += 1
+        lex[lacc] += 1
+        adj[aacc] += 1
+        return
+    if lookup and len(remaining) == 6:
+        key = (
+            bisect_left(remaining, pr),
+            bisect_left(remaining, pu),
+            bisect_left(remaining, pv),
+        )
+        accs = (racc, tacc, bacc, lacc, aacc)
+        for hist, acc, pairs in zip(hists, accs, _tail_counts(key)):
+            for offset, count in pairs:
+                hist[acc + offset] += count
+        return
+    for (i, root), (j, a), (k, b) in combinations(enumerate(remaining), 3):
+        rest = remaining[:i] + remaining[i + 1 : j]
+        rest += remaining[j + 1 : k] + remaining[k + 1 :]
+        nr = racc + 1 + (pv < root)  # root -> left always ascends
+        nt = tacc + (pu < root and pv < root)
+        up = pr < root
+        nb = bacc + up
+        for u, v in ((a, b), (b, a)):
+            nl = lacc + (up and pu < u and pv < v)
+            na = aacc + (pv < u)
+            _sweep(hists, rest, root, u, v, nr + (u < v), nt, nb, nl, na, lookup)
 
 
 @lru_cache(maxsize=None)
@@ -232,49 +275,22 @@ def _tail_counts(
 
     ``key`` is (rank of pr, rank of pu, rank of pv): how many of the six
     remaining labels lie below each label of the previous shrub, 6 for
-    the sentinel above every label.  The six labels stand in as 2, 4,
-    ..., 12 and a label of rank r as 2r + 1, which keeps every
-    comparison the tails make.  Returns, for ris, risT, risB, risL and
+    the sentinel above every label.  The entry is exact because every
+    comparison a tail makes is between a label of the previous shrub
+    and a remaining label, or between two remaining labels, so its
+    outcome depends on the ranks alone.  The entry is filled by
+    :func:`_sweep` itself, with the lookup off and every running count
+    at 0, on stand-in labels: the six labels are 2, 4, ..., 12 and a
+    label of rank r is 2r + 1.  Returns, for ris, risT, risB, risL and
     risA in that order, the nonzero (offset, count) pairs: ``count``
     tails raise the statistic by ``offset`` over the prefix's value.
     """
-    remaining = (2, 4, 6, 8, 10, 12)
+    hists = tuple([0] * 7 for _ in range(5))
     pr, pu, pv = (2 * r + 1 for r in key)
-    racc = tacc = bacc = lacc = aacc = 0
-    word, total, base, lex, adj = ([0] * 7 for _ in range(5))
-    # shrub n-1 is (root, a, b) or (root, b, a); the last shrub is
-    # (r, x, y) or (r, y, x); a < b and x < y.  risT and risB do
-    # not depend on leaf order, so each adds all four forests.
-    for i, j, k, p, q, s in _SPLITS:
-        root, a, b = remaining[i], remaining[j], remaining[k]
-        r, x, y = remaining[p], remaining[q], remaining[s]
-        up = pr < root
-        total[tacc + (pu < root and pv < root) + (b < r)] += 4
-        base[bacc + up + (root < r)] += 4
-        # root -> left always ascends, left -> right iff left < right
-        w = racc + (pv < root) + 2 + (b < r)  # after (root, a, b)
-        word[w + 2] += 1
-        word[w + 1] += 1
-        w = racc + (pv < root) + 1 + (a < r)  # after (root, b, a)
-        word[w + 2] += 1
-        word[w + 1] += 1
-        lab = lacc + (up and pu < a and pv < b)
-        lba = lacc + (up and pu < b and pv < a)
-        if root < r:
-            lex[lab + (a < x and b < y)] += 1
-            lex[lab + (a < y and b < x)] += 1
-            lex[lba + (b < x and a < y)] += 1
-            lex[lba + (b < y and a < x)] += 1
-        else:
-            lex[lab] += 2
-            lex[lba] += 2
-        adj[aacc + (pv < a) + (b < x)] += 1
-        adj[aacc + (pv < a) + (b < y)] += 1
-        adj[aacc + (pv < b) + (a < x)] += 1
-        adj[aacc + (pv < b) + (a < y)] += 1
+    _sweep(hists, (2, 4, 6, 8, 10, 12), pr, pu, pv, 0, 0, 0, 0, 0, False)
     return tuple(
         tuple((offset, count) for offset, count in enumerate(hist) if count)
-        for hist in (word, total, base, lex, adj)
+        for hist in hists
     )
 
 
@@ -285,58 +301,16 @@ def _distributions(n: int) -> dict[str, tuple[int, ...]]:
     Works on raw labels rather than Forest objects; the per-forest
     statistics are the same comparisons as :func:`rise_stat`, checked
     against the object path exhaustively for n <= 3 in the test suite.
-
-    The unused labels are a sorted tuple, so ``combinations`` yields each
-    next shrub as (root, a, b) with the root smallest, and both leaf
-    orders (a, b) and (b, a) follow.  The previous shrub's labels
-    (pr, pu, pv) and the five running counts go down the recursion; the
-    first shrub sees a sentinel above every label, so it adds no rise
-    between shrubs.  Every shrub down to the third from last is walked
-    forest by forest.  When six labels remain, the 80 ways to finish
-    (two shrubs) come from :func:`_tail_counts`.  That table is exact:
-    each comparison a tail makes is between a label of the previous
-    shrub and a remaining label, or between two remaining labels, so
-    its outcome depends only on how pr, pu and pv rank among the six
-    remaining labels.  The ranks are the key (140 keys, shared by every
-    n); each entry's counts land at the running counts plus its
-    offsets.
+    The first shrub sees a sentinel above every label, so it adds no
+    rise between shrubs.  :func:`_sweep` walks every shrub but the last
+    two forest by forest and takes those two from :func:`_tail_counts`,
+    a table of 140 entries shared by every n.
     """
     word = [0] * (3 * n)
     total, base, lex, adj = ([0] * n for _ in range(4))
     hists = (word, total, base, lex, adj)
-
-    def sweep(remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc):
-        if len(remaining) == 6:
-            key = (
-                bisect_left(remaining, pr),
-                bisect_left(remaining, pu),
-                bisect_left(remaining, pv),
-            )
-            accs = (racc, tacc, bacc, lacc, aacc)
-            for hist, acc, pairs in zip(hists, accs, _tail_counts(key)):
-                for offset, count in pairs:
-                    hist[acc + offset] += count
-            return
-        if not remaining:  # n = 1: the first shrub was also the last
-            word[racc] += 1
-            total[tacc] += 1
-            base[bacc] += 1
-            lex[lacc] += 1
-            adj[aacc] += 1
-            return
-        for (i, root), (j, a), (k, b) in combinations(enumerate(remaining), 3):
-            rest = remaining[:i] + remaining[i + 1 : j]
-            rest += remaining[j + 1 : k] + remaining[k + 1 :]
-            nr = racc + 1 + (pv < root)
-            nt = tacc + (pu < root and pv < root)
-            up = pr < root
-            nb = bacc + up
-            for u, v in ((a, b), (b, a)):
-                nl = lacc + (up and pu < u and pv < v)
-                sweep(rest, root, u, v, nr + (u < v), nt, nb, nl, aacc + (pv < u))
-
     top = 3 * n + 1
-    sweep(tuple(range(1, top)), top, top, top, 0, 0, 0, 0, 0)
+    _sweep(hists, tuple(range(1, top)), top, top, top, 0, 0, 0, 0, 0, True)
     out = {RiseKind.WORD.value: tuple(word)}
     out.update(
         (kind.value, tuple(hist))
@@ -350,13 +324,7 @@ def rise_distribution(
 ) -> XPoly:
     """Sum of x**statistic over every forest of n shrubs, by brute force."""
     kind = RiseKind(kind)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > max_shrubs:
-        raise GuardExceeded(
-            f"distribution at n={n} sweeps {forest_count(n)} forests; "
-            f"pass max_shrubs={n} to allow it"
-        )
+    _check_shrubs(n, max_shrubs)
     return XPoly(_distributions(n)[kind.value])
 
 

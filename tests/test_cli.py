@@ -102,6 +102,20 @@ def test_seq_big_terms_are_decimal_strings(capsys):
     assert record["payload"][-1] == "1208025937371403268201735037"
 
 
+def test_seq_prints_terms_past_the_int_to_str_limit(capsys):
+    # Python >= 3.11 refuses str() of an int over 4300 digits by default
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    try:
+        code, out, err = run(capsys, "seq", "--name", "ITF", "--count", "15000")
+        assert (code, err) == (0, "")
+        last = out.rstrip("\n").rsplit(", ", 1)[-1]
+        assert len(last) == 4516 and int(last) == 2**15000
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--stat", "risB", "--max-n", "2")
     assert code == 0

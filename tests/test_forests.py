@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from math import factorial
 
 import pytest
@@ -263,6 +264,29 @@ def test_tail_table_is_filled_at_n3():
     assert forests._tail_counts.cache_info().currsize == 140
 
 
+def test_tail_table_matches_object_path():
+    # each entry against the 80 two-shrub tails on 10, 20, ..., 60 after a
+    # previous shrub whose labels 10r+1, 10u+2, 10v+3 have the key's ranks
+    tails = [
+        tuple(10 * label for label in forest_to_perm(f)) for f in enumerate_forests(2)
+    ]
+    kinds = (RiseKind.WORD, *forests.PAIR_KINDS)
+    for r in range(7):
+        for u in range(r, 7):
+            for v in range(r, 7):
+                prev = (10 * r + 1, 10 * u + 2, 10 * v + 3)
+                hists = [dict() for _ in kinds]
+                for tail in tails:
+                    forest = forest_from_perm(reduction(prev + tail))
+                    for kind, hist in zip(kinds, hists):
+                        value = rise_stat(kind, forest)
+                        if kind is RiseKind.WORD:
+                            value -= rises(prev)
+                        hist[value] = hist.get(value, 0) + 1
+                expected = tuple(tuple(sorted(hist.items())) for hist in hists)
+                assert forests._tail_counts((r, u, v)) == expected, (r, u, v)
+
+
 def test_exactness_check_raises_even_under_optimisation(monkeypatch):
     monkeypatch.setattr(forests, "factorial", lambda m: 1)
     with pytest.raises(ArithmeticError):
@@ -295,3 +319,15 @@ def test_distribution_guard():
         rise_distribution(RiseKind.WORD, 5)
     with pytest.raises(ValueError):
         rise_distribution(RiseKind.WORD, 0)
+
+
+def test_guard_refuses_large_n_without_building_the_count():
+    # (3n)!/3**n has over 4300 digits from about n = 600 and takes
+    # seconds to build at n = 10**5; the refusal needs neither
+    for n in (1000, 10**5):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=f"max_shrubs={n}"):
+            rise_distribution(RiseKind.WORD, n)
+        with pytest.raises(GuardExceeded, match=f"max_shrubs={n}"):
+            next(enumerate_forests(n))
+        assert time.perf_counter() - start < 0.1

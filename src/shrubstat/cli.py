@@ -12,8 +12,10 @@ The stable JSON schema is::
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
 A reader that closes the output pipe early (``| head``) ends the command
 quietly with exit 0.
-Desk-scale guards are overridden globally by the environment variable
-``SHRUBSTAT_MAX_N`` or per invocation with ``--force``.
+Each guarded command refuses an n past the largest that the library's
+default limits (:mod:`shrubstat.names`) allow it, before it builds
+anything; the environment variable ``SHRUBSTAT_MAX_N`` replaces that
+bound on n, and ``--force`` lifts it for one invocation.
 
 Each command runs in a fresh interpreter, so start-up is part of its
 cost: the parser is built from :mod:`shrubstat.names` alone, and each
@@ -32,12 +34,15 @@ from itertools import islice
 
 from .errors import GuardExceeded
 from .names import (
+    DEFAULT_MAX_COUNT_SIZE,
+    DEFAULT_MAX_ENUM_SIZE,
     DEFAULT_MAX_SHRUBS,
     DEFAULT_MAX_TRIPLES,
     DEFAULT_SHRUBS,
     GF_STATS,
     LINEXT_KINDS,
     MIN_RISE,
+    POSET_FAMILIES,
 )
 
 EXIT_OK = 0
@@ -59,35 +64,40 @@ def __getattr__(name: str):
 #: same name in lower case.
 _SEQ_FROM_ONE = ("ITF", "IBF", "ILF", "IAF")
 
-_POSET_FAMILIES = ("A", "E", "S", "B", "ISF", "IBF", "L")
-
-_GUARDS = {
-    "verify": DEFAULT_MAX_SHRUBS,
-    "paths": DEFAULT_MAX_TRIPLES,
-    "bijection": 4,  # grid poset has 3n elements; enumeration wants <= 12
-    "extensions-count": 7,  # widest family instance at n=7 has 23 nodes
-    "extensions-list": 4,
-}
-
-
-def _guard(name: str) -> int:
+def _check_guard(args, n: int, limit: int) -> None:
+    """Refuse n past limit, the largest n the library's default limits
+    allow the command, unless --force is given; SHRUBSTAT_MAX_N, when
+    set, is the limit instead."""
     env = os.environ.get("SHRUBSTAT_MAX_N")
-    if env is None:
-        return _GUARDS[name]
-    if not env.strip().isdecimal():
-        raise ValueError(
-            f"SHRUBSTAT_MAX_N must be a non-negative integer, got {env!r}"
-        )
-    return int(env)
-
-
-def _check_guard(args, name: str, n: int) -> None:
-    limit = _guard(name)
+    if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError(
+                f"SHRUBSTAT_MAX_N must be a non-negative integer, got {env!r}"
+            )
+        limit = int(env)
     if n > limit and not args.force:
         raise GuardExceeded(
             f"n={n} exceeds the guard ({limit}); re-run with --force "
             "or set SHRUBSTAT_MAX_N"
         )
+
+
+def _poset(family: str, n: int):
+    """The poset of the family at n.  Its size is checked against the
+    recursion limit before it is built, so a forced n too large for the
+    DP or the enumerator costs nothing."""
+    from . import posets
+
+    size = 3 * n + POSET_FAMILIES[family]
+    posets.check_size(size, size)  # the guard has bounded n already
+    builders = {
+        "ISF": posets.build_isf_poset,
+        "IBF": posets.build_ibf_poset,
+        "L": posets.build_lex_poset,
+    }
+    if family in builders:
+        return builders[family](n)
+    return posets.build_adjacent_poset(family, n)  # A, E, S or B: chains
 
 
 #: Lines (or JSON payload items) per write call of a streamed listing.
@@ -185,7 +195,7 @@ def cmd_verify(args) -> int:
 
     if args.max_n < 1:
         raise ValueError("max-n must be >= 1")
-    _check_guard(args, "verify", args.max_n)
+    _check_guard(args, args.max_n, DEFAULT_MAX_SHRUBS)
     gf = series.build_gf(args.stat, args.max_n)
     rows = []
     for n in range(1, args.max_n + 1):
@@ -202,7 +212,7 @@ def cmd_verify(args) -> int:
 def cmd_paths(args) -> int:
     from . import kreweras
 
-    _check_guard(args, "paths", args.n)
+    _check_guard(args, args.n, DEFAULT_MAX_TRIPLES)
     params = {"n": args.n, "list": bool(args.list)}
     if args.list:
         stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
@@ -219,9 +229,10 @@ def cmd_paths(args) -> int:
 def cmd_bijection(args) -> int:
     from . import counts, kreweras, posets
 
-    _check_guard(args, "bijection", args.n)
     n = args.n
-    poset = posets.build_lex_poset(n)
+    # a grid poset of 3n elements to enumerate and walks of n triples
+    _check_guard(args, n, min(DEFAULT_MAX_ENUM_SIZE // 3, DEFAULT_MAX_TRIPLES))
+    poset = _poset("L", n)
     extensions = list(
         posets.enumerate_linear_extensions(poset, max_size=poset.size)
     )
@@ -258,16 +269,10 @@ def cmd_bijection(args) -> int:
 def cmd_extensions(args) -> int:
     from . import posets
 
-    _check_guard(args, f"extensions-{args.mode}", args.n)
-    builders = {
-        "ISF": posets.build_isf_poset,
-        "IBF": posets.build_ibf_poset,
-        "L": posets.build_lex_poset,
-    }
-    if args.family in builders:
-        poset = builders[args.family](args.n)
-    else:  # A, E, S or B: an adjacent-chain family
-        poset = posets.build_adjacent_poset(args.family, args.n)
+    size = DEFAULT_MAX_COUNT_SIZE if args.mode == "count" else DEFAULT_MAX_ENUM_SIZE
+    # the largest n whose 3n + extra elements are at most size
+    _check_guard(args, args.n, (size - POSET_FAMILIES[args.family]) // 3)
+    poset = _poset(args.family, args.n)
     params = {"family": args.family, "n": args.n, "mode": args.mode}
     if args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("extensions", help="linear extensions of a poset family")
-    p.add_argument("--family", choices=_POSET_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(POSET_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("count", "list"), default="count")
     add_format(p)
@@ -401,6 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FAIL
     except RecursionError as exc:  # the enumerations and the DP recurse per element
         print(f"error: n is too large for this command ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # an unguarded size (seq --count, ode-check --order)
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader stopped early (``| head``) and what was written is

@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .names import DEFAULT_MAX_SHRUBS, RiseKind
 from .polynomial import XPoly
 from .record import Record
@@ -177,11 +177,9 @@ def _check_shrubs(n: int, max_shrubs: int) -> None:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_shrubs:
-        raise GuardExceeded(
-            f"{n} shrubs make (3n)!/3**n forests to visit; "
-            f"pass max_shrubs={n} to allow it"
-        )
+    check_guard(
+        n, max_shrubs, "max_shrubs", "shrubs make (3n)!/3**n forests to visit"
+    )
 
 
 def enumerate_forests(

@@ -19,7 +19,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .names import DEFAULT_MAX_TRIPLES
 from .record import Record
 
@@ -116,10 +116,7 @@ def enumerate_paths(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > max_triples:
-        raise GuardExceeded(
-            f"enumerating walks of {3 * n} steps; pass max_triples={n} to allow it"
-        )
+    check_guard(n, max_triples, "max_triples", "triples make walks to enumerate")
     steps: list[Step] = [Step(s) for s in prefix]
     if len(steps) > 3 * n:
         raise ValueError("prefix longer than the walk")

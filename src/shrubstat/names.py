@@ -31,12 +31,33 @@ LINEXT_KINDS = ("LA", "LB", "LE", "LS")
 #: in the package needs by default.
 DEFAULT_SHRUBS = 6
 
-#: Default bound on the number of shrubs for exhaustive enumeration.
+# The default guards, the one table of desk-scale limits.  Each library
+# entry point refuses a size past its default unless the caller passes a
+# larger bound, and the command line derives its n limits from these four.
+
+#: Shrubs of an exhaustive forest sweep (keyword ``max_shrubs``).
 #: (3*4)!/3**4 is about 5.9 million forests, which the sweep counts in
 #: about 0.25 s of CPU time (2.0 GHz Xeon, Python 3.11); n = 5 is about
-#: 5.4e9 and is refused unless the caller raises the guard.
+#: 5.4e9.
 DEFAULT_MAX_SHRUBS = 4
 
-#: Walks of 6 triples number 835584; beyond that enumeration is refused
-#: unless the caller raises the guard.
+#: Step triples of a walk listing (keyword ``max_triples``): walks of 6
+#: triples number 835584.
 DEFAULT_MAX_TRIPLES = 6
+
+#: Elements of a poset whose labelings are counted (keyword ``max_size``).
+#: The families at n = 7 have at most 23 elements (B: 29 681 down-sets);
+#: B at n = 8 has 26 elements and 110 771 down-sets, which the DP memoises.
+DEFAULT_MAX_COUNT_SIZE = 24
+
+#: Elements of a poset whose labelings are listed (keyword ``max_size``).
+#: The time grows with the number of labelings, and memory with the
+#: largest bucket of them sharing element 0's label (an int per labeling;
+#: A at n = 4, 12 elements, has 666 160 labelings and buckets of at most
+#: 211 651), plus a table of completions that is small beside it (there:
+#: 159 up-sets with 7 481 completions in all).
+DEFAULT_MAX_ENUM_SIZE = 12
+
+#: The poset families of ``extensions``, each with the elements it has
+#: beyond its 3n shrub nodes (E and S cap the chain at one end, B at both).
+POSET_FAMILIES = {"A": 0, "E": 1, "S": 1, "B": 2, "ISF": 0, "IBF": 0, "L": 0}

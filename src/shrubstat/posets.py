@@ -25,19 +25,10 @@ import sys
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import GuardExceeded
+from .errors import check_guard
+from .names import DEFAULT_MAX_COUNT_SIZE, DEFAULT_MAX_ENUM_SIZE
 from .record import Record
 
-#: Counting guard.  The CLI's count guard allows the families at n = 7
-#: (at most 23 elements: B has 29 681 down-sets); with --force, B at
-#: n = 8 has 26 elements and 110 771 down-sets, which the DP memoises.
-DEFAULT_MAX_COUNT_SIZE = 24
-#: Enumeration guard: the time grows with the number of labelings, and
-#: memory with the largest bucket of them sharing element 0's label (an
-#: int per labeling; A at n = 4, 12 elements, has 666 160 labelings and
-#: buckets of at most 211 651), plus a table of completions that is
-#: small beside it (there: 159 up-sets with 7 481 completions in all).
-DEFAULT_MAX_ENUM_SIZE = 12
 #: Labels each labeling takes from the table of completions rather than
 #: by backtracking.  For A at n = 4, any value from 4 to 8 took 0.45 to
 #: 0.6 s against 2.0 s for backtracking every label, with no winner
@@ -72,17 +63,19 @@ class Poset(Record):
         return all(labels[u] < labels[v] for u, v in self.covers)
 
 
-def _check_depth(poset: Poset) -> None:
-    """Refuse a poset deeper than the interpreter's recursion limit.
-
-    The DP and the enumerator recurse once per element, so such a poset
-    must fail anyway; failing before the cover masks are built keeps
-    their memory, quadratic in the size, from being spent on it.
+def check_size(size: int, max_size: int) -> None:
+    """Refuse a poset of size elements past the guard max_size
+    (GuardExceeded) or past the interpreter's recursion limit
+    (RecursionError), which the DP and the enumerator, recursing once per
+    element, would reach anyway.  Only the size is needed, so a caller
+    can refuse a poset before building it; the DP and the enumerator
+    refuse before building its cover masks (memory quadratic in size).
     """
+    check_guard(size, max_size, "max_size", "elements in the poset")
     limit = sys.getrecursionlimit()
-    if poset.size > limit:
+    if size > limit:
         raise RecursionError(
-            f"a poset of {poset.size} elements recurses past the "
+            f"a poset of {size} elements recurses past the "
             f"recursion limit of {limit}"
         )
 
@@ -129,11 +122,7 @@ def count_linear_extensions(
     recursion limit raises RecursionError before any work, which the CLI
     reports as a usage error (exit 2).
     """
-    if poset.size > max_size:
-        raise GuardExceeded(
-            f"poset has {poset.size} elements; pass max_size={poset.size} to count it"
-        )
-    _check_depth(poset)
+    check_size(poset.size, max_size)
     succs, preds = _cover_masks(poset)
     if poset.size == 0:
         return 1
@@ -191,12 +180,7 @@ def enumerate_linear_extensions(
     beyond the interpreter's recursion limit raises RecursionError before
     any work.
     """
-    if poset.size > max_size:
-        raise GuardExceeded(
-            f"poset has {poset.size} elements; pass max_size={poset.size} "
-            "to enumerate it"
-        )
-    _check_depth(poset)
+    check_size(poset.size, max_size)
     succs, preds = _cover_masks(poset)
     size = poset.size
     if size == 0:

@@ -427,3 +427,15 @@ def test_closed_pipe_exits_0_quietly():
     finally:
         os.close(write_end)
     assert done.returncode == 0 and done.stderr == b""
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    from shrubstat import counts
+
+    def out_of_memory(order):
+        raise MemoryError
+
+    monkeypatch.setattr(counts, "ode_residuals", out_of_memory)
+    code, out, err = run(capsys, "ode-check", "--order", "100000000000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

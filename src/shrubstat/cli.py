@@ -9,6 +9,9 @@ The stable JSON schema is::
     {"command": str, "params": {...}, "payload": [str...] | [[str...]...],
      "status": "ok" | "fail"}
 
+where params are the command's parsed arguments (``--max-n`` as
+``max_n``, ``--list`` as a bool) without ``--format`` and ``--force``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
 A reader that closes the output pipe early (``| head``) ends the command
 quietly with exit 0.
@@ -142,13 +145,19 @@ def _write_json(command: str, params: dict, payload: Iterable, ok: bool) -> None
     write("], " + tail[1:] + "\n")
 
 
-def _emit(args, command: str, params: dict, payload, ok: bool = True) -> int:
+#: Parsed arguments that are not params of the JSON record.
+_NOT_PARAMS = ("command", "func", "format", "force")
+
+
+def _emit(args, payload, ok: bool = True) -> int:
     """Write the result in the chosen format; return the exit code.
 
     The payload is one row (a list of strings) or an iterable of rows
-    (in JSON also of strings), written as they are produced."""
+    (in JSON also of strings), written as they are produced.  A JSON
+    record's params are the command's parsed arguments."""
     if args.format == "json":
-        _write_json(command, params, payload, ok)
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        _write_json(args.command, params, payload, ok)
     else:
         flat = isinstance(payload, list) and isinstance(payload[0], str)
         sep = "," if args.format == "csv" else ", " if flat else "  "
@@ -171,8 +180,7 @@ def cmd_coeff(args) -> int:
         payload = [str(poly)]
     else:
         payload = [str(c) for c in poly.int_coeffs()] or ["0"]
-    params = {"stat": args.stat, "n": args.n, "order": args.order}
-    return _emit(args, "coeff", params, payload)
+    return _emit(args, payload)
 
 
 def cmd_seq(args) -> int:
@@ -185,8 +193,7 @@ def cmd_seq(args) -> int:
         terms = [term(i) for i in range(1, args.count + 1)]
     else:
         terms = [counts.linext_seq(args.name, i) for i in range(args.count)]
-    payload = [str(t) for t in terms]
-    return _emit(args, "seq", {"name": args.name, "count": args.count}, payload)
+    return _emit(args, [str(t) for t in terms])
 
 
 def cmd_verify(args) -> int:
@@ -205,15 +212,13 @@ def cmd_verify(args) -> int:
         else:
             brute = forests.rise_distribution(args.stat, n, max_shrubs=args.max_n)
         rows.append([str(n), "PASS" if formula == brute else "FAIL"])
-    params = {"stat": args.stat, "max_n": args.max_n}
-    return _emit(args, "verify", params, rows, all(r[1] == "PASS" for r in rows))
+    return _emit(args, rows, all(r[1] == "PASS" for r in rows))
 
 
 def cmd_paths(args) -> int:
     from . import kreweras
 
     _check_guard(args, args.n, DEFAULT_MAX_TRIPLES)
-    params = {"n": args.n, "list": bool(args.list)}
     if args.list:
         stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
         words = map(kreweras.path_word, stream)
@@ -223,7 +228,7 @@ def cmd_paths(args) -> int:
         payload = words
     else:
         payload = [str(kreweras.count_paths(args.n))]
-    return _emit(args, "paths", params, payload)
+    return _emit(args, payload)
 
 
 def cmd_bijection(args) -> int:
@@ -263,7 +268,7 @@ def cmd_bijection(args) -> int:
         ["formula", str(formula)],
         ["bijective", "yes" if (injective and onto and round_trip) else "no"],
     ]
-    return _emit(args, "bijection", {"n": n}, rows, ok)
+    return _emit(args, rows, ok)
 
 
 def cmd_extensions(args) -> int:
@@ -273,14 +278,13 @@ def cmd_extensions(args) -> int:
     # the largest n whose 3n + extra elements are at most size
     _check_guard(args, args.n, (size - POSET_FAMILIES[args.family]) // 3)
     poset = _poset(args.family, args.n)
-    params = {"family": args.family, "n": args.n, "mode": args.mode}
     if args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
     else:
         names = [str(label) for label in range(poset.size + 1)]
         labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
         payload = ([names[v] for v in labeling] for labeling in labelings)
-    return _emit(args, "extensions", params, payload)
+    return _emit(args, payload)
 
 
 def cmd_ode_check(args) -> int:
@@ -291,13 +295,10 @@ def cmd_ode_check(args) -> int:
         [name, "nonzero" if any(residuals[name]) else "zero"]
         for name in ("A", "E", "S", "B")
     ]
-    terms = (args.order - 2) // 3
-    series_ok = all(
-        counts.lb_via_ode(m) == counts.linext_seq("LB", m) for m in range(terms + 1)
-    )
+    lb = counts.adjacent_chain_egfs(args.order)["LB"]  # LB_m at t^(3m+2)
+    series_ok = counts.lb_ode_series(args.order) == lb
     rows.append(["series-vs-recurrence", "ok" if series_ok else "mismatch"])
-    ok = all(r[1] in ("zero", "ok") for r in rows)
-    return _emit(args, "ode-check", {"order": args.order}, rows, ok)
+    return _emit(args, rows, all(r[1] in ("zero", "ok") for r in rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,7 @@ into the first-order system
     A' = E*S,   E' = 1 + E*B,   S' = A + B*S,   B' = E + B**2,
 
 and eliminating E gives the second-order equation B'' = 1 + 3B'B - B**3
-used by :func:`lb_via_ode` as an independent route to LB.
+used by :func:`lb_ode_series` as an independent route to LB.
 """
 
 from __future__ import annotations
@@ -101,13 +101,14 @@ def iaf(n: int) -> int:
     return linext_seq("LA", n)
 
 
-def lb_via_ode(n: int) -> int:
-    """LB_n from the power-series solution of B'' = 1 + 3B'B - B**3.
+def lb_ode_series(order: int) -> list[int]:
+    """Coefficients b_0..b_order of the power-series solution B of
+    B'' = 1 + 3B'B - B**3, in the t**m/m! basis.
 
-    B(t) carries LB_m at exponent 3m+2 in the t**m/m! basis and vanishes
-    to second order at 0, so the constant forcing term seeds LB_0 = 1.
-    Any nonzero coefficient at an exponent not congruent to 2 mod 3
-    would falsify the packing and is a hard error.
+    B(t) carries LB_m at exponent 3m+2 and vanishes to second order at
+    0, so the constant forcing term seeds LB_0 = 1.  Any nonzero
+    coefficient at an exponent not congruent to 2 mod 3 would falsify
+    the packing and is a hard error.
 
     Step m solves for b[m+2] from b[0..m+1].  B**2 is a running list that
     gains one coefficient per step, so a step costs O(order) and the
@@ -115,9 +116,8 @@ def lb_via_ode(n: int) -> int:
     """
     from .polynomial import egf_coeff
 
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    order = 3 * n + 2
+    if order < 0:
+        raise ValueError("order must be >= 0")
     b = [0, 0]
     bsq: list[int] = []
     for m in range(order - 1):
@@ -130,7 +130,15 @@ def lb_via_ode(n: int) -> int:
             raise ArithmeticError(
                 f"series solution has unexpected coefficient {value} at t^{m}"
             )
-    return b[order]
+    return b[: order + 1]
+
+
+def lb_via_ode(n: int) -> int:
+    """LB_n from the power-series solution of B'' = 1 + 3B'B - B**3:
+    the last coefficient of :func:`lb_ode_series` at order 3n+2."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return lb_ode_series(3 * n + 2)[-1]
 
 
 def adjacent_chain_egfs(order: int) -> dict[str, list[int]]:

@@ -69,12 +69,9 @@ class Forest(Record):
     def __post_init__(self) -> None:
         if not self.shrubs:
             raise ValueError("a forest needs at least one shrub")
-        seen: list[int] = []
-        for shrub in self.shrubs:
-            seen.extend(shrub.triple)
-        n = len(self.shrubs)
-        if sorted(seen) != list(range(1, 3 * n + 1)):
-            raise ValueError(f"labels must partition 1..{3 * n}: {sorted(seen)}")
+        seen = sorted(forest_to_perm(self))
+        if seen != list(range(1, len(seen) + 1)):
+            raise ValueError(f"labels must partition 1..{len(seen)}: {seen}")
 
     @classmethod
     def from_triples(cls, triples: Sequence[Sequence[int]]) -> "Forest":

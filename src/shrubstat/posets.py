@@ -21,6 +21,7 @@ Elements of the forest-shaped posets are indexed in word positions:
 
 from __future__ import annotations
 
+import struct
 import sys
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -186,7 +187,8 @@ def enumerate_linear_extensions(
     if size == 0:
         yield ()
         return
-    nbytes = (size.bit_length() + 7) // 8  # per label: 1 below 256 elements
+    fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
+    nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
     split = max(0, size - _TAIL_LABELS)  # the last label placed by backtracking
     full = (1 << size) - 1
@@ -239,16 +241,13 @@ def enumerate_linear_extensions(
             place(label + 1, now, after, prefix | label << shifts[v])
 
     minimal = sum(1 << v for v in range(size) if not preds[v])
+    decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
     for pinned in range(1, size + 1):
         key = pinned if pinned > split else 0  # element 0's label in the tail
         place(1, 0, minimal, 0)
         bucket.sort()
-        if nbytes == 1:
-            words = map(int.to_bytes, bucket, repeat(size), repeat("big"))
-            yield from map(tuple, words)
-        else:
-            mask = (1 << 8 * nbytes) - 1
-            yield from (tuple(code >> s & mask for s in shifts) for code in bucket)
+        words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
+        yield from map(decode, words)
         bucket.clear()
 
 

@@ -35,10 +35,16 @@ from .polynomial import Scalar, XPoly, _coerce, egf_coeff
 from .record import Record
 
 
-class EgfSeries:
-    """Truncated series sum c_m t**m/m! with XPoly coefficients."""
+class EgfSeries(Record):
+    """Truncated series sum c_m t**m/m!: the order (an int) and the
+    coefficients c_0..c_order (a tuple of XPoly).
 
-    __slots__ = ("_order", "_coeffs")
+    Built from the order and the nonzero terms, as a mapping m -> value
+    or a sequence c_0, c_1, ...; each value is coerced to an XPoly and
+    every unnamed coefficient is zero.
+    """
+
+    __slots__ = ("order", "coeffs")
 
     def __init__(
         self,
@@ -56,8 +62,7 @@ class EgfSeries:
             if not 0 <= m <= order:
                 raise ValueError(f"term t^{m} out of range for order {order}")
             coeffs[m] = _coerce(value)
-        self._order = order
-        self._coeffs = tuple(coeffs)
+        super().__init__(order, tuple(coeffs))
 
     @classmethod
     def zero(cls, order: int) -> "EgfSeries":
@@ -67,61 +72,45 @@ class EgfSeries:
     def one(cls, order: int) -> "EgfSeries":
         return cls(order, {0: 1})
 
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
     def coeff(self, m: int) -> XPoly:
-        if not 0 <= m <= self._order:
-            raise ValueError(f"t^{m} exceeds truncation order {self._order}")
-        return self._coeffs[m]
+        if not 0 <= m <= self.order:
+            raise ValueError(f"t^{m} exceeds truncation order {self.order}")
+        return self.coeffs[m]
 
     def _check_order(self, other: "EgfSeries") -> None:
-        if self._order != other._order:
+        if self.order != other.order:
             raise ValueError(
-                f"truncation orders differ: {self._order} != {other._order}"
+                f"truncation orders differ: {self.order} != {other.order}"
             )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EgfSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
 
     def __add__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
         return EgfSeries(
-            self._order, [a + b for a, b in zip(self._coeffs, other._coeffs)]
+            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
         return EgfSeries(
-            self._order, [a - b for a, b in zip(self._coeffs, other._coeffs)]
+            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         return EgfSeries(
-            self._order, [egf_coeff(a, b, m) for m in range(self._order + 1)]
+            self.order, [egf_coeff(a, b, m) for m in range(self.order + 1)]
         )
 
     def reciprocal(self) -> "EgfSeries":
         """Series b with self * b = 1 through the truncation order."""
-        if self._coeffs[0] != XPoly.one():
+        if self.coeffs[0] != XPoly.one():
             raise ValueError("reciprocal needs constant term exactly 1")
-        a = self._coeffs
+        a = self.coeffs
         b = [XPoly.one()]
-        for m in range(1, self._order + 1):
+        for m in range(1, self.order + 1):
             b.append(-egf_coeff(a, b, m, 1))
-        return EgfSeries(self._order, b)
+        return EgfSeries(self.order, b)
 
     def divexact(self, denominator: "EgfSeries") -> "EgfSeries":
         """Quotient q with denominator * q = self, dividing polynomials exactly.
@@ -131,28 +120,28 @@ class EgfSeries:
         division to be exact (ArithmeticError otherwise).
         """
         self._check_order(denominator)
-        d = denominator._coeffs
+        d = denominator.coeffs
         if not d[0]:
             raise ZeroDivisionError("denominator has zero constant coefficient")
-        c = self._coeffs
+        c = self.coeffs
         q: list[XPoly] = []
-        for m in range(self._order + 1):
+        for m in range(self.order + 1):
             q.append((c[m] - egf_coeff(d, q, m, 1)).divexact(d[0]))
-        return EgfSeries(self._order, q)
+        return EgfSeries(self.order, q)
 
     def exp(self) -> "EgfSeries":
         """Exponential of a series with zero constant term."""
-        if self._coeffs[0]:
+        if self.coeffs[0]:
             raise ValueError("exp needs zero constant term")
-        da = self._coeffs[1:]  # a'_m = a_{m+1} in the t**m/m! basis
+        da = self.coeffs[1:]  # a'_m = a_{m+1} in the t**m/m! basis
         b = [XPoly.one()]
-        for m in range(self._order):  # b' = a' b
+        for m in range(self.order):  # b' = a' b
             b.append(egf_coeff(da, b, m))
-        return EgfSeries(self._order, b)
+        return EgfSeries(self.order, b)
 
     def __repr__(self) -> str:
-        head = ", ".join(f"t^{m}: {c}" for m, c in enumerate(self._coeffs) if c)
-        return f"EgfSeries(order={self._order}, {{{head or '0'}}})"
+        head = ", ".join(f"t^{m}: {c}" for m, c in enumerate(self.coeffs) if c)
+        return f"EgfSeries(order={self.order}, {{{head or '0'}}})"
 
 
 class StatGF(Record):

@@ -377,6 +377,28 @@ def test_ode_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (("seq", "--name", "LB", "--count", "3"), {"count": 3, "name": "LB"}),
+        (
+            ("verify", "--stat", "risB", "--max-n", "2", "--force"),
+            {"max_n": 2, "stat": "risB"},
+        ),
+        (("bijection", "--n", "2"), {"n": 2}),
+        (("ode-check", "--order", "5"), {"order": 5}),
+        (("paths", "--n", "2"), {"list": False, "n": 2}),
+    ],
+)
+def test_json_params_are_the_parsed_arguments(capsys, argv, params):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["command"] == argv[0]
+    # dumped, so that a bool param is told apart from an int
+    assert json.dumps(record["params"]) == json.dumps(params)
+
+
 def test_determinism(capsys):
     first = run(capsys, "coeff", "--stat", "risB", "--n", "4", "--format", "json")
     second = run(capsys, "coeff", "--stat", "risB", "--n", "4", "--format", "json")

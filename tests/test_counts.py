@@ -20,7 +20,7 @@ from shrubstat import (
     shrub_less,
     within_rise_poly,
 )
-from shrubstat.counts import adjacent_chain_egfs
+from shrubstat.counts import adjacent_chain_egfs, lb_ode_series
 
 from golden import SEQ_GOLDEN
 
@@ -99,6 +99,14 @@ def test_lb_via_ode_matches_recurrence():
         assert lb_via_ode(n) == linext_seq("LB", n)
     with pytest.raises(ValueError):
         lb_via_ode(-1)
+
+
+def test_lb_ode_series_matches_the_recurrences():
+    # every order, not only the 3n + 2 at which lb_via_ode stops
+    for order in range(61):
+        assert lb_ode_series(order) == adjacent_chain_egfs(order)["LB"]
+    with pytest.raises(ValueError):
+        lb_ode_series(-1)
 
 
 def test_ode_residuals_vanish():

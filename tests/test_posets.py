@@ -162,6 +162,16 @@ def test_enumeration_edge_sizes():
     ]
 
 
+@pytest.mark.parametrize("size", [255, 256])
+def test_enumeration_at_the_field_width_switch(size):
+    # element 0 is free and the others form a chain, so element 0 takes
+    # any label and the chain takes the rest in order
+    poset = Poset.from_covers(size, [(i, i + 1) for i in range(1, size - 1)])
+    labels = range(1, size + 1)
+    expected = [(a, *(label for label in labels if label != a)) for a in labels]
+    assert list(enumerate_linear_extensions(poset, max_size=size)) == expected
+
+
 def test_adjacent_family_base_counts():
     got = tuple(
         count_linear_extensions(build_adjacent_poset(v, 1)) for v in "AESB"

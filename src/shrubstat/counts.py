@@ -148,10 +148,8 @@ def adjacent_chain_egfs(order: int) -> dict[str, list[int]]:
     """
     out = {k: [0] * (order + 1) for k in LINEXT_KINDS}
     for key, offset in (("LA", 0), ("LE", 1), ("LS", 1), ("LB", 2)):
-        n = 0
-        while 3 * n + offset <= order:
-            out[key][3 * n + offset] = linext_seq(key, n)
-            n += 1
+        for m in range(offset, order + 1, 3):
+            out[key][m] = linext_seq(key, m // 3)
     return out
 
 

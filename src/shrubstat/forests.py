@@ -25,7 +25,7 @@ are pure; values are immutable and safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence
@@ -262,7 +262,7 @@ def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc, lookup):
             _sweep(hists, rest, root, u, v, nr + (u < v), nt, nb, nl, na, lookup)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _tail_counts(
     key: tuple[int, int, int]
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -289,7 +289,7 @@ def _tail_counts(
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def _distributions(n: int) -> dict[str, tuple[int, ...]]:
     """One exhaustive sweep counting all five statistics at once.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import check_guard
@@ -53,7 +54,7 @@ def path_word(path: Sequence[Step]) -> str:
     return "".join(path)
 
 
-def path_from_word(word: str) -> Path:
+def path_from_word(word: Sequence[str]) -> Path:
     try:
         return tuple(Step(ch) for ch in word)
     except ValueError:
@@ -117,7 +118,7 @@ def enumerate_paths(
     if n < 0:
         raise ValueError("n must be >= 0")
     check_guard(n, max_triples, "max_triples", "triples make walks to enumerate")
-    steps: list[Step] = [Step(s) for s in prefix]
+    steps: list[Step] = list(path_from_word(prefix))
     if len(steps) > 3 * n:
         raise ValueError("prefix longer than the walk")
     start = _walk(n, steps)
@@ -129,21 +130,16 @@ def enumerate_paths(
     # (ne, w, s), filled on first use; the head is walked step by step.
     total = 3 * n
     split = max(len(steps), total - _TAIL_STEPS)
-    tails: dict[_Counts, list[Path]] = {}
 
+    @cache
     def completions(counts: _Counts) -> list[Path]:
-        found = tails.get(counts)
-        if found is None:
-            if sum(counts) == total:
-                found = [()]
-            else:
-                found = [
-                    (step,) + tail
-                    for step, after in _moves(n, counts)
-                    for tail in completions(after)
-                ]
-            tails[counts] = found
-        return found
+        if sum(counts) == total:
+            return [()]
+        return [
+            (step,) + tail
+            for step, after in _moves(n, counts)
+            for tail in completions(after)
+        ]
 
     def rec(counts: _Counts) -> Iterator[Path]:
         if len(steps) == split:

@@ -136,6 +136,8 @@ class XPoly:
         """Exact quotient self / divisor; ArithmeticError if it does not divide."""
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
+        if divisor._coeffs == (1,):
+            return self
         if not self:
             return XPoly()
         rem = list(self._coeffs)

@@ -9,7 +9,8 @@ is as deep as the poset is large.  Enumeration is intended for smaller
 posets: it backtracks over the first labels and takes the last few from
 a table of completions keyed by the set of unplaced elements, with each
 labeling held as one int (a fixed-width field per element) until it is
-yielded.
+yielded.  Both refuse a cover relation with a cycle, which
+:class:`graphlib.TopologicalSorter` detects.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -83,28 +86,19 @@ def check_size(size: int, max_size: int) -> None:
 
 def _cover_masks(poset: Poset) -> tuple[list[int], list[int]]:
     """Immediate-successor and immediate-predecessor bitmasks of every
-    element; raises ValueError on a cycle."""
+    element; raises ValueError on a cycle, which a
+    :class:`graphlib.TopologicalSorter` over the covers detects."""
     succs = [0] * poset.size
     preds = [0] * poset.size
+    order = TopologicalSorter()
     for u, v in poset.covers:
         succs[u] |= 1 << v
         preds[v] |= 1 << u
-    # Kahn's algorithm over the cover digraph
-    indeg = [p.bit_count() for p in preds]
-    queue = [v for v in range(poset.size) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        m = succs[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen != poset.size:
-        raise ValueError("cover relation contains a cycle")
+        order.add(v, u)
+    try:
+        order.prepare()
+    except CycleError:
+        raise ValueError("cover relation contains a cycle") from None
     return succs, preds
 
 
@@ -193,14 +187,12 @@ def enumerate_linear_extensions(
     split = max(0, size - _TAIL_LABELS)  # the last label placed by backtracking
     full = (1 << size) - 1
     # unplaced up-set -> {label of element 0 (0 if it is placed): codes}
-    tails: dict[int, dict[int, list[int]]] = {0: {0: [0]}}
-
+    @cache
     def completions(rest: int) -> dict[int, list[int]]:
-        found = tails.get(rest)
-        if found is not None:
-            return found
+        if not rest:
+            return {0: [0]}
         label = size + 1 - rest.bit_count()  # the first label rest takes
-        found = {}
+        found: dict[int, list[int]] = {}
         m = rest
         while m:
             low = m & -m
@@ -213,7 +205,6 @@ def enumerate_linear_extensions(
                 found.setdefault(label if v == 0 else key, []).extend(
                     map(code.__or__, codes)
                 )
-        tails[rest] = found
         return found
 
     bucket: list[int] = []

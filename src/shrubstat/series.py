@@ -6,9 +6,10 @@ Multiplication is the binomial convolution
 
     (f * g)_m = sum_j C(m, j) f_j g_{m-j},
 
-computed by :func:`polynomial.egf_coeff`.  Reciprocals, quotients, and
-exponentials solve the same convolution for one coefficient at a time
-(b' = a'b for the exponential), all over exact rationals.
+computed by :func:`polynomial.egf_coeff`.  Quotients and exponentials
+solve the same convolution for one coefficient at a time (b' = a'b for
+the exponential), all over exact rationals; a reciprocal is the
+quotient of one by the series (:meth:`EgfSeries.divexact` of one).
 
 The builders return the distribution generating functions for the five
 rise statistics, truncated at a whole number of shrubs (order 3N in t):
@@ -29,7 +30,6 @@ from math import factorial, prod
 from typing import Iterable
 
 from .counts import iaf, ibf, ilf, itf, within_rise_poly
-from .names import GF_STATS  # noqa: F401  (re-exported for callers)
 from .names import DEFAULT_SHRUBS, MIN_RISE, RiseKind
 from .polynomial import Scalar, XPoly, _coerce, egf_coeff
 from .record import Record
@@ -103,21 +103,20 @@ class EgfSeries(Record):
         )
 
     def reciprocal(self) -> "EgfSeries":
-        """Series b with self * b = 1 through the truncation order."""
+        """Series b with self * b = 1 through the truncation order: the
+        quotient of one by self.  The constant term must be 1, so every
+        step divides by 1 and no coefficient turns fractional."""
         if self.coeffs[0] != XPoly.one():
             raise ValueError("reciprocal needs constant term exactly 1")
-        a = self.coeffs
-        b = [XPoly.one()]
-        for m in range(1, self.order + 1):
-            b.append(-egf_coeff(a, b, m, 1))
-        return EgfSeries(self.order, b)
+        return EgfSeries.one(self.order).divexact(self)
 
     def divexact(self, denominator: "EgfSeries") -> "EgfSeries":
         """Quotient q with denominator * q = self, dividing polynomials exactly.
 
-        Unlike :meth:`reciprocal` this tolerates any nonzero leading
-        polynomial, at the price of requiring every step's polynomial
-        division to be exact (ArithmeticError otherwise).
+        Any nonzero leading polynomial is allowed, at the price of
+        requiring every step's polynomial division to be exact
+        (ArithmeticError otherwise); :meth:`reciprocal` is the case of
+        a numerator of one and a leading polynomial of 1.
         """
         self._check_order(denominator)
         d = denominator.coeffs

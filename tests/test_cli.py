@@ -1,10 +1,15 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubstat import (
     XPoly,
@@ -14,7 +19,7 @@ from shrubstat import (
     path_word,
     posets,
 )
-from shrubstat.cli import main
+from shrubstat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -163,6 +168,18 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--stat", "risB", "--max-n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_detects_a_minimal_ascent_mismatch(capsys, monkeypatch):
+    # the brute-force side of minris is an int, compared with the polynomial
+    from shrubstat import cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module.forests, "min_rise_count", lambda n, max_shrubs=4: 0
+    )
+    code, out, _ = run(capsys, "verify", "--stat", "minris", "--max-n", "2")
+    assert code == 1
+    assert out == "1  FAIL\n2  FAIL\nFAIL\n"
 
 
 def test_paths(capsys):
@@ -461,3 +478,77 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "ode-check", "--order", "100000000000")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+#: The parser of each command, by name.
+(_COMMANDS,) = (
+    a.choices
+    for a in build_parser()._actions
+    if isinstance(a, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv the parser accepts, without --format: a command, then each
+    of its options, required ones always and optional ones or not, with
+    a choice, an int from -3 to 3, or (for a flag) nothing."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for action in _COMMANDS[command]._actions:
+        option = action.option_strings[-1]
+        if option in ("--help", "--format"):
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        argv.append(option)
+        if action.choices:
+            argv.append(draw(st.sampled_from(list(action.choices))))
+        elif action.nargs != 0:  # every valued option is an int
+            argv.append(str(draw(st.integers(-3, 3))))
+    return argv
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv(), st.sampled_from([None, "", "abc", "-3", "0", "2"]))
+def test_cli_contract_holds_for_every_argv(argv, max_n):
+    saved = os.environ.pop("SHRUBSTAT_MAX_N", None)
+    try:
+        if max_n is not None:
+            os.environ["SHRUBSTAT_MAX_N"] = max_n
+        runs = {f: _capture([*argv, "--format", f]) for f in ("text", "json", "csv")}
+    finally:
+        os.environ.pop("SHRUBSTAT_MAX_N", None)
+        if saved is not None:
+            os.environ["SHRUBSTAT_MAX_N"] = saved
+    codes = {code for code, _, _ in runs.values()}
+    assert len(codes) == 1 and codes <= {0, 1, 2}
+    code = codes.pop()
+    for _, out, err in runs.values():
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n")
+        else:
+            assert err == ""
+    if code == 2:
+        return
+    json_out = runs["json"][1]
+    assert json_out.count("\n") == 1 and json_out.endswith("\n")
+    record = json.loads(json_out)
+    assert sorted(record) == ["command", "params", "payload", "status"]
+    assert record["command"] == argv[0]
+    assert record["status"] == ("ok" if code == 0 else "fail")
+    payload = record["payload"]
+    # one row of strings, or rows of strings
+    rows = [payload] if all(isinstance(p, str) for p in payload) else payload
+    assert all(isinstance(row, list) for row in rows)
+    assert all(isinstance(token, str) for row in rows for token in row)
+    assert runs["csv"][1].splitlines() == [",".join(row) for row in rows]

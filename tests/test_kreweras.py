@@ -103,6 +103,12 @@ def test_enumerate_paths_guard_and_prefix():
         list(enumerate_paths(1, prefix=(Step.NE,) * 4))
 
 
+def test_prefix_is_parsed_like_a_word():
+    with pytest.raises(ValueError, match="step letters must be N, W or S"):
+        list(enumerate_paths(1, prefix="NX"))
+    assert list(enumerate_paths(1, prefix="NW")) == [path_from_word("NWS")]
+
+
 @given(
     st.integers(0, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(Step), max_size=3 * n))

@@ -22,6 +22,13 @@ def test_whole_fractions_normalize_to_int():
     assert p.coeffs[0] == 2 and isinstance(p.coeffs[0], int)
 
 
+def test_comparison_with_a_scalar():
+    assert XPoly((5,)) == 5
+    assert XPoly((5, 1)) != 5
+    assert XPoly(()) == 0
+    assert XPoly((Fraction(1, 2),)) == Fraction(1, 2)
+
+
 def test_addition_and_subtraction():
     p = XPoly((1, 2, 3))
     q = XPoly((0, 0, -3, 5))

@@ -147,6 +147,20 @@ def test_enumeration_past_the_tail(poset):
 
 
 @settings(deadline=None)
+@given(dags(min_size=2), st.data())
+def test_planted_cycles_are_refused(poset, data):
+    # a path through distinct elements, closed by one edge back to its start
+    order = data.draw(st.permutations(range(poset.size)))
+    path = order[: data.draw(st.integers(2, poset.size))]
+    covers = {*poset.covers, *zip(path, path[1:]), (path[-1], path[0])}
+    cyclic = Poset.from_covers(poset.size, covers)
+    with pytest.raises(ValueError, match="cycle"):
+        count_linear_extensions(cyclic)
+    with pytest.raises(ValueError, match="cycle"):
+        list(enumerate_linear_extensions(cyclic))
+
+
+@settings(deadline=None)
 @given(dags())
 def test_count_equals_filtered_permutations(poset):
     brute = sum(

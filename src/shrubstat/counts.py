@@ -31,7 +31,7 @@ used by :func:`lb_ode_series` as an independent route to LB.
 from __future__ import annotations
 
 import threading
-from math import comb, factorial
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .names import LINEXT_KINDS
@@ -73,25 +73,43 @@ def ilf(n: int) -> int:
 
 
 def linext_seq(kind: str, n: int) -> int:
-    """n-th term of LA/LB/LE/LS (0-indexed; all four start at 1)."""
+    """n-th term of LA/LB/LE/LS (0-indexed; all four start at 1).
+
+    Step m of the recurrences reads binomials from three rows only,
+    C(3m-1, .), C(3m, .) and C(3m+1, .); each row is built once per step,
+    every entry from the one before it by C(t, i) = C(t, i-1)(t-i+1)/i,
+    so no term calls math.comb.  Terms are cached, and a call computes
+    only the steps past the longest one cached.
+    """
     if kind not in LINEXT_KINDS:
         raise ValueError(f"unknown sequence {kind!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def chain_sum(top: int, shift: int, f: list[int], g: list[int], m: int) -> int:
-        """sum_k C(top, 3(k-1)+shift) f[k-1] g[m-k] over k = 1..m."""
+    def chain_sum(
+        row: list[int], shift: int, f: list[int], g: list[int], m: int
+    ) -> int:
+        """sum_k row[3(k-1)+shift] f[k-1] g[m-k] over k = 1..m."""
         # Not egf_coeff: ode_residuals checks these recurrences through it.
-        return sum(comb(top, 3 * j + shift) * f[j] * g[m - 1 - j] for j in range(m))
+        return sum(row[3 * j + shift] * f[j] * g[m - 1 - j] for j in range(m))
 
     with _cache_lock:
         la, lb, le, ls = (_cache[k] for k in ("LA", "LB", "LE", "LS"))
         for m in range(len(la), n + 1):
-            le.append(chain_sum(3 * m, 1, le, lb, m))
-            lb.append(le[m] + chain_sum(3 * m + 1, 2, lb, lb, m))
-            la.append(chain_sum(3 * m - 1, 1, le, ls, m))
-            ls.append(la[m] + chain_sum(3 * m, 2, lb, ls, m))
+            below, mid, above = (_binomial_row(3 * m + d) for d in (-1, 0, 1))
+            le.append(chain_sum(mid, 1, le, lb, m))
+            lb.append(le[m] + chain_sum(above, 2, lb, lb, m))
+            la.append(chain_sum(below, 1, le, ls, m))
+            ls.append(la[m] + chain_sum(mid, 2, lb, ls, m))
         return _cache[kind][n]
+
+
+def _binomial_row(top: int) -> list[int]:
+    """C(top, 0), ..., C(top, top), each from the one before it."""
+    row = [1]
+    for i in range(1, top + 1):
+        row.append(row[-1] * (top - i + 1) // i)
+    return row
 
 
 def iaf(n: int) -> int:

@@ -5,12 +5,16 @@ elements so that every cover (u, v) gets label(u) < label(v).  Counting
 runs a memoised dynamic program over down-sets keyed by bitmask: each
 step removes one maximal element, the maximal elements are carried down
 as a bitmask, and the memo is tested before recursing, so the recursion
-is as deep as the poset is large.  Enumeration is intended for smaller
-posets: it backtracks over the first labels and takes the last few from
-a table of completions keyed by the set of unplaced elements, with each
-labeling held as one int (a fixed-width field per element) until it is
-yielded.  Both refuse a cover relation with a cycle, which
-:class:`graphlib.TopologicalSorter` detects.
+is as deep as the poset is large.  Before it runs, twins (elements with
+the same predecessors and the same successors) are chained in index
+order and the count multiplied back by k! per class of k, which is
+exact because swapping two twins maps labelings onto labelings.
+Enumeration is intended for smaller posets: it backtracks over the
+first labels and takes the last few from a table of completions keyed
+by the set of unplaced elements, with each labeling held as one int (a
+fixed-width field per element) until it is yielded.  Both refuse a
+cover relation with a cycle, which :class:`graphlib.TopologicalSorter`
+detects.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -26,7 +30,8 @@ import struct
 import sys
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import repeat
+from itertools import pairwise, repeat
+from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import check_guard
@@ -112,15 +117,40 @@ def count_linear_extensions(
     so it never scans D for them; removing v leaves the others maximal
     and makes maximal each predecessor of v whose successors have all
     gone.  The memo is tested before the call, so each down-set is
-    entered once.  The recursion is one frame per removed element, as
-    deep as the poset is large: a poset beyond the interpreter's
-    recursion limit raises RecursionError before any work, which the CLI
-    reports as a usage error (exit 2).
+    entered once.
+
+    Twins are elements with the same immediate predecessors and
+    successors.  They are incomparable (a chain from one to the other
+    would pass through a successor both share, a cycle), and swapping
+    two of them maps the cover relation onto itself, so it maps
+    labelings onto labelings.  The k! orders of a class of k twins
+    therefore occur equally often: the DP counts the labelings that
+    order each class by index, with the class chained x1 < ... < xk,
+    and the result is that count times the product of the k!.  The
+    chain links are covers the DP adds, and the DP stays exact with
+    them: an element is maximal in a down-set exactly when none of its
+    successors is in it.  This cuts the down-sets only where twins
+    exist: the two leaves of every IBF shrub are twins (9 841 down-sets
+    instead of 87 381 at n = 8); the adjacent-chain families have none.
+
+    The recursion is one frame per removed element, as deep as the
+    poset is large: a poset beyond the interpreter's recursion limit
+    raises RecursionError before any work, which the CLI reports as a
+    usage error (exit 2).
     """
     check_size(poset.size, max_size)
     succs, preds = _cover_masks(poset)
     if poset.size == 0:
         return 1
+    twins: dict[tuple[int, int], list[int]] = {}
+    for v in range(poset.size):
+        twins.setdefault((preds[v], succs[v]), []).append(v)
+    orders = 1  # the orderings of every twin class among themselves
+    for members in twins.values():
+        orders *= factorial(len(members))
+        for u, v in pairwise(members):  # chain the class: x1 < ... < xk
+            succs[u] |= 1 << v
+            preds[v] |= 1 << u
     # per element v: (bit of u, successor mask of u) for each predecessor u
     below = [
         [(1 << u, succs[u]) for u in range(poset.size) if preds[v] >> u & 1]
@@ -148,7 +178,7 @@ def count_linear_extensions(
         return total
 
     tops = sum(1 << v for v in range(poset.size) if not succs[v])
-    return ways((1 << poset.size) - 1, tops)
+    return orders * ways((1 << poset.size) - 1, tops)
 
 
 def enumerate_linear_extensions(

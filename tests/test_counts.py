@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +20,7 @@ from shrubstat import (
     shrub_less,
     within_rise_poly,
 )
+from shrubstat import counts
 from shrubstat.counts import adjacent_chain_egfs, lb_ode_series
 
 from golden import SEQ_GOLDEN
@@ -73,6 +74,33 @@ def test_linext_first_terms_by_hand():
         linext_seq("LQ", 1)
     with pytest.raises(ValueError):
         linext_seq("LA", -1)
+
+
+def test_linext_seq_matches_the_recurrences_with_math_comb(monkeypatch):
+    # the four docstring recurrences restated with math.comb, against the
+    # binomial rows that linext_seq builds per step; a fresh cache is
+    # filled in two unequal steps, so the growing lists are exercised too
+    top = 150
+    ref = {k: [1] for k in ("LA", "LB", "LE", "LS")}
+    la, lb, le, ls = (ref[k] for k in ("LA", "LB", "LE", "LS"))
+    for n in range(1, top + 1):
+        ks = range(1, n + 1)
+        le.append(sum(comb(3 * n, 3 * (k - 1) + 1) * le[k - 1] * lb[n - k] for k in ks))
+        lb.append(
+            le[n]
+            + sum(comb(3 * n + 1, 3 * (k - 1) + 2) * lb[k - 1] * lb[n - k] for k in ks)
+        )
+        la.append(
+            sum(comb(3 * n - 1, 3 * (k - 1) + 1) * le[k - 1] * ls[n - k] for k in ks)
+        )
+        ls.append(
+            la[n]
+            + sum(comb(3 * n, 3 * (k - 1) + 2) * lb[k - 1] * ls[n - k] for k in ks)
+        )
+    monkeypatch.setattr(counts, "_cache", {k: [1] for k in ref})
+    assert linext_seq("LS", 37) == ref["LS"][37]
+    for kind, terms in ref.items():
+        assert [linext_seq(kind, n) for n in range(top, -1, -1)] == terms[::-1]
 
 
 def test_iaf():

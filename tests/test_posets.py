@@ -169,6 +169,31 @@ def test_count_equals_filtered_permutations(poset):
     assert count_linear_extensions(poset) == brute
 
 
+@settings(deadline=None)
+@given(dags(min_size=1, max_size=5), st.data())
+def test_planted_twins_are_counted_exactly(poset, data):
+    # copies of one element's covers make its twins: the DP chains the
+    # class and multiplies by k!, which must agree with brute force
+    twin = data.draw(st.integers(0, poset.size - 1))
+    extra = data.draw(st.integers(1, 3))
+    covers = set(poset.covers)
+    for w in range(poset.size, poset.size + extra):
+        covers |= {(u, w) for u, v in poset.covers if v == twin}
+        covers |= {(w, v) for u, v in poset.covers if u == twin}
+    planted = Poset.from_covers(poset.size + extra, covers)
+    brute = sum(
+        all(p[u] < p[v] for u, v in covers)
+        for p in permutations(range(planted.size))
+    )
+    assert count_linear_extensions(planted) == brute
+
+
+def test_ibf_poset_counts_past_brute_force():
+    # every shrub's two leaves are twins
+    for n in (5, 6, 7, 8):
+        assert count_linear_extensions(build_ibf_poset(n), max_size=3 * n) == ibf(n)
+
+
 def test_enumeration_edge_sizes():
     assert list(enumerate_linear_extensions(Poset.from_covers(0, []))) == [()]
     assert list(enumerate_linear_extensions(chain(300), max_size=300)) == [

@@ -569,7 +569,7 @@ def _parse(parser, argv):
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_one_command_parser_parses_that_command_like_the_full_one(command):
     # --help at the top and of the command, an unknown command, the command
-    # without its required flags (ode-check has none), and a valid argv
+    # without its required flags (ode-check has none), and an unknown flag
     full, one = build_parser(), build_parser(command)
     for argv in (
         ["--help"],

@@ -21,10 +21,9 @@ anything; the environment variable ``SHRUBSTAT_MAX_N`` replaces that
 bound on n, and ``--force`` lifts it for one invocation.
 
 Each command runs in a fresh interpreter, so start-up is part of its
-cost: the parser is built from :mod:`shrubstat.names` alone, with the
-arguments of the command named in argv only, and each command imports
-the layers it calls (and ``json`` for ``--format json``) when it runs.
-The layers stay reachable as attributes of this module.
+cost: the parser is built from :mod:`shrubstat.names` alone, and each
+command imports the layers it calls (and ``json`` for ``--format json``)
+when it runs.  The layers stay reachable as attributes of this module.
 """
 
 from __future__ import annotations
@@ -297,112 +296,7 @@ def cmd_ode_check(args) -> int:
     return _emit(args, rows, all(r[1] in ("zero", "ok") for r in rows))
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
-
-
-def _add_force(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="raise the desk-scale enumeration guard for this run",
-    )
-
-
-def _coeff_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stat", choices=GF_STATS, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of shrubs")
-    p.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_SHRUBS,
-        help="truncation order in shrub units (default: 6)",
-    )
-    _add_format(p)
-
-
-def _seq_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--name",
-        choices=_SEQ_FROM_ONE + LINEXT_KINDS,
-        required=True,
-    )
-    p.add_argument("--count", type=int, required=True)
-    _add_format(p)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stat", choices=GF_STATS, required=True)
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    _add_format(p)
-    _add_force(p)
-
-
-def _paths_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of step triples")
-    p.add_argument("--list", action="store_true", help="list walks, not count them")
-    _add_format(p)
-    _add_force(p)
-
-
-def _bijection_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    _add_force(p)
-
-
-def _extensions_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=tuple(POSET_FAMILIES), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("count", "list"), default="count")
-    _add_format(p)
-    _add_force(p)
-
-
-def _ode_check_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, default=20)
-    _add_format(p)
-
-
-#: Each command's help line, the function that runs it and the function
-#: that adds its arguments to its subparser.
-_COMMANDS = {
-    "coeff": ("one series coefficient polynomial", cmd_coeff, _coeff_arguments),
-    "seq": ("terms of a counting sequence", cmd_seq, _seq_arguments),
-    "verify": (
-        "series coefficients vs. brute force",
-        cmd_verify,
-        _verify_arguments,
-    ),
-    "paths": ("first-quadrant walks", cmd_paths, _paths_arguments),
-    "bijection": (
-        "walks vs. grid-poset labelings, round-tripped",
-        cmd_bijection,
-        _bijection_arguments,
-    ),
-    "extensions": (
-        "linear extensions of a poset family",
-        cmd_extensions,
-        _extensions_arguments,
-    ),
-    "ode-check": (
-        "differential-equation residuals of the chain-count series",
-        cmd_ode_check,
-        _ode_check_arguments,
-    ),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given a command's name, the
-    parser with only that command's arguments: the others keep their
-    help lines but take no arguments.  Either parses that command's argv
-    alike and prints the same help and usage errors for it."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrubstat",
         description=(
@@ -412,22 +306,90 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
-            p.set_defaults(func=func)
+
+    def add_format(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default="text",
+            help="output format (default: text)",
+        )
+
+    def add_force(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--force",
+            action="store_true",
+            help="raise the desk-scale enumeration guard for this run",
+        )
+
+    p = sub.add_parser("coeff", help="one series coefficient polynomial")
+    p.add_argument("--stat", choices=GF_STATS, required=True)
+    p.add_argument("--n", type=int, required=True, help="number of shrubs")
+    p.add_argument(
+        "--order",
+        type=int,
+        default=DEFAULT_SHRUBS,
+        help="truncation order in shrub units (default: 6)",
+    )
+    add_format(p)
+    p.set_defaults(func=cmd_coeff)
+
+    p = sub.add_parser("seq", help="terms of a counting sequence")
+    p.add_argument(
+        "--name",
+        choices=_SEQ_FROM_ONE + LINEXT_KINDS,
+        required=True,
+    )
+    p.add_argument("--count", type=int, required=True)
+    add_format(p)
+    p.set_defaults(func=cmd_seq)
+
+    p = sub.add_parser("verify", help="series coefficients vs. brute force")
+    p.add_argument("--stat", choices=GF_STATS, required=True)
+    p.add_argument("--max-n", type=int, default=3, dest="max_n")
+    add_format(p)
+    add_force(p)
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("paths", help="first-quadrant walks")
+    p.add_argument("--n", type=int, required=True, help="number of step triples")
+    p.add_argument("--list", action="store_true", help="list walks, not count them")
+    add_format(p)
+    add_force(p)
+    p.set_defaults(func=cmd_paths)
+
+    p = sub.add_parser(
+        "bijection", help="walks vs. grid-poset labelings, round-tripped"
+    )
+    p.add_argument("--n", type=int, required=True)
+    add_format(p)
+    add_force(p)
+    p.set_defaults(func=cmd_bijection)
+
+    p = sub.add_parser("extensions", help="linear extensions of a poset family")
+    p.add_argument("--family", choices=tuple(POSET_FAMILIES), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", choices=("count", "list"), default="count")
+    add_format(p)
+    add_force(p)
+    p.set_defaults(func=cmd_extensions)
+
+    p = sub.add_parser(
+        "ode-check",
+        help="differential-equation residuals of the chain-count series",
+    )
+    p.add_argument("--order", type=int, default=20)
+    add_format(p)
+    p.set_defaults(func=cmd_ode_check)
+
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11 caps str(int)
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        argv = sys.argv[1:]
-    # only the named command's arguments: the others are never parsed
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

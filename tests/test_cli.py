@@ -552,59 +552,3 @@ def test_cli_contract_holds_for_every_argv(argv, max_n):
     assert all(isinstance(row, list) for row in rows)
     assert all(isinstance(token, str) for row in rows for token in row)
     assert runs["csv"][1].splitlines() == [",".join(row) for row in rows]
-
-
-def _parse(parser, argv):
-    """What parsing argv does: the parsed arguments, or the exit code and
-    the help or usage error printed."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code, out.getvalue(), err.getvalue()
-    return vars(args)
-
-
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_one_command_parser_parses_that_command_like_the_full_one(command):
-    # --help at the top and of the command, an unknown command, the command
-    # without its required flags (ode-check has none), and an unknown flag
-    full, one = build_parser(), build_parser(command)
-    for argv in (
-        ["--help"],
-        [command, "--help"],
-        ["bogus"],
-        [command],
-        [command, "--format", "csv", "--bogus"],
-    ):
-        assert _parse(one, argv) == _parse(full, argv)
-    assert _parse(one, ["--help"])[0] == 0
-    assert _parse(one, ["bogus"])[0] == 2
-    if command != "ode-check":
-        code, out, err = _parse(one, [command])
-        assert code == 2 and out == ""
-        assert "the following arguments are required" in err
-
-
-def test_main_builds_only_the_named_command(monkeypatch, capsys):
-    from shrubstat import cli
-
-    built = []
-
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    assert main(["seq", "--name", "LA", "--count", "2"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    # argv[0] is not a command: the full grammar reports the stray flag
-    with pytest.raises(SystemExit):
-        main(["--force", "seq", "--name", "LA", "--count", "2"])
-    assert built == ["seq", None, None, None]
-    assert capsys.readouterr().err.endswith("unrecognized arguments: --force\n")

@@ -403,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError as exc:  # the enumerations and the DP recurse per element
         print(f"error: n is too large for this command ({exc})", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:  # an unguarded size (seq --count, ode-check --order)
+    except MemoryError:  # an unguarded size (seq --count, ode-check --order, coeff --n)
         print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

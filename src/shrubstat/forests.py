@@ -180,27 +180,11 @@ def _check_shrubs(n: int, max_shrubs: int) -> None:
 
 
 def enumerate_forests(
-    n: int,
-    *,
-    max_shrubs: int = DEFAULT_MAX_SHRUBS,
-    first: Shrub | None = None,
+    n: int, *, max_shrubs: int = DEFAULT_MAX_SHRUBS
 ) -> Iterator[Forest]:
-    """Yield every forest of n shrubs once, in lexicographic word order.
-
-    ``first`` restricts the stream to forests whose first shrub is the
-    given one; the streams over all valid first shrubs partition the
-    full enumeration, so distribution sums can be merged associatively.
-    """
+    """Yield every forest of n shrubs once, in lexicographic word order."""
     _check_shrubs(n, max_shrubs)
-    labels = tuple(range(1, 3 * n + 1))
-    if first is None:
-        prefix: list[Shrub] = []
-    else:
-        if not first.labels() <= set(labels):
-            raise ValueError(f"first shrub labels must lie in 1..{3 * n}")
-        labels = tuple(v for v in labels if v not in first.labels())
-        prefix = [first]
-    yield from _forests_rec(labels, prefix, n)
+    yield from _forests_rec(tuple(range(1, 3 * n + 1)), [], n)
 
 
 def _forests_rec(

@@ -80,56 +80,40 @@ def _moves(n: int, counts: _Counts) -> list[tuple[Step, _Counts]]:
     return [(step, after) for step in STEP_ORDER if (after := _step(n, counts, step))]
 
 
-def _walk(n: int, steps: Sequence[Step]) -> _Counts | None:
-    """Step counts after steps, or None once one breaks the walk rule."""
-    counts: _Counts | None = (0, 0, 0)
-    for step in steps:
-        counts = _step(n, counts, step)
-        if counts is None:
-            break
-    return counts
-
-
 def is_valid_path(steps: Sequence[Step]) -> bool:
     """Whether steps is a closed first-quadrant walk (prefix conditions
     plus equal step counts).  Steps compare by value, so a word in the
     letters N, W and S is checked like its tuple of steps."""
     n = len(steps) // 3
-    return _walk(n, steps) == (n, n, n)
+    counts: _Counts | None = (0, 0, 0)
+    for step in steps:
+        counts = _step(n, counts, step)
+        if counts is None:
+            return False
+    return counts == (n, n, n)
 
 
 def enumerate_paths(
-    n: int,
-    *,
-    max_triples: int = DEFAULT_MAX_TRIPLES,
-    prefix: Sequence[Step] = (),
+    n: int, *, max_triples: int = DEFAULT_MAX_TRIPLES
 ) -> Iterator[Path]:
     """Yield every valid walk of length 3n once, lexicographically in
     the step order NE < W < S.
 
-    ``prefix`` restricts the stream to walks starting with the given
-    steps; the streams over the possible first steps partition the
-    enumeration.
-
-    The last nine steps of each walk (the steps after the prefix, if it
-    is longer) come from a table of completions built during the call,
-    which holds at most 5 769 tails for any n (5 587 at n = 6).
+    The last nine steps of each walk come from a table of completions
+    built during the call, which holds at most 5 769 tails for any n
+    (5 587 at n = 6).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     check_guard(n, max_triples, "max_triples", "triples make walks to enumerate")
-    steps: list[Step] = list(path_from_word(prefix))
-    if len(steps) > 3 * n:
-        raise ValueError("prefix longer than the walk")
-    start = _walk(n, steps)
-    if start is None:
-        return
 
-    # The walks after a prefix depend only on its step counts, so the
+    # The walks after a head depend only on its step counts, so the
     # tail of every walk comes from a table of completions per
-    # (ne, w, s), filled on first use; the head is walked step by step.
+    # (ne, w, s), filled on first use; the head is walked step by step
+    # in one shared list (a new tuple per step raises the peak RSS).
     total = 3 * n
-    split = max(len(steps), total - _TAIL_STEPS)
+    split = max(0, total - _TAIL_STEPS)
+    steps: list[Step] = []
 
     @cache
     def completions(counts: _Counts) -> list[Path]:
@@ -152,7 +136,7 @@ def enumerate_paths(
             yield from rec(after)
             steps.pop()
 
-    yield from rec(start)
+    yield from rec((0, 0, 0))
 
 
 def count_paths(n: int) -> int:

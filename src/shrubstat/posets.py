@@ -12,8 +12,10 @@ exact because swapping two twins maps labelings onto labelings.
 Enumeration is intended for smaller posets: it backtracks over the
 first labels and takes the last few from a table of completions keyed
 by the set of unplaced elements, with each labeling held as one int (a
-fixed-width field per element) until it is yielded.  Both refuse a
-cover relation with a cycle, which :class:`graphlib.TopologicalSorter`
+fixed-width field per element) until it is yielded.  Both halves give
+the next label by one rule: to an unplaced element none of whose
+predecessors is unplaced.  Counting and enumeration refuse a cover
+relation with a cycle, which :class:`graphlib.TopologicalSorter`
 detects.
 
 Builders are provided for every poset family the package needs: the
@@ -193,20 +195,22 @@ def enumerate_linear_extensions(
     held and sorted.
 
     Within a bucket, labels 1..size-T (T = _TAIL_LABELS) are placed by
-    backtracking, one ready element at a time.  The last T labels come
-    from a table of completions, filled on first use and kept for every
-    bucket: it is keyed by the set of unplaced elements (an up-set), and
-    splits each set's completions by the label they give element 0, so
-    a bucket reads only those that agree with its pin.  A labeling is
-    held as one int with a fixed-width field per element, element 0 in
-    the most significant field, so a labeling is its head's int or'ed
-    with a completion's, and int order is the order of label words.
-    The recursion takes one frame per label (and two more), so a poset
-    beyond the interpreter's recursion limit raises RecursionError before
-    any work.
+    backtracking.  The last T labels come from a table of completions,
+    filled on first use and kept for every bucket: it is keyed by the
+    set of unplaced elements (an up-set), and splits each set's
+    completions by the label they give element 0, so a bucket reads
+    only those that agree with its pin.  The head and the table follow
+    one rule: the next label goes to an element of the unplaced set
+    with no predecessor in that set.  A labeling is held as one int
+    with a fixed-width field per element, element 0 in the most
+    significant field, so a labeling is its head's int or'ed with a
+    completion's, and int order is the order of label words.  The
+    recursion takes one frame per label (and two more), so a poset
+    beyond the interpreter's recursion limit raises RecursionError
+    before any work.
     """
     check_size(poset.size, max_size)
-    succs, preds = _cover_masks(poset)
+    _, preds = _cover_masks(poset)
     size = poset.size
     if size == 0:
         yield ()
@@ -215,7 +219,6 @@ def enumerate_linear_extensions(
     nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
     split = max(0, size - _TAIL_LABELS)  # the last label placed by backtracking
-    full = (1 << size) - 1
     # unplaced up-set -> {label of element 0 (0 if it is placed): codes}
     @cache
     def completions(rest: int) -> dict[int, list[int]]:
@@ -239,33 +242,24 @@ def enumerate_linear_extensions(
 
     bucket: list[int] = []
 
-    def place(label: int, placed: int, ready: int, prefix: int) -> None:
-        # ready: the unplaced elements whose predecessors are all placed
+    def place(label: int, rest: int, prefix: int) -> None:
+        # rest: the unplaced elements
         if label > split:
-            tail = completions(full ^ placed).get(key, ())
-            bucket.extend(map(prefix.__or__, tail))
+            bucket.extend(map(prefix.__or__, completions(rest).get(key, ())))
             return
         # element 0 takes the bucket's label and no other
-        m = ready & 1 if label == pinned else ready & ~1
+        m = rest & 1 if label == pinned else rest & ~1
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            now = placed | low
-            after = ready ^ low
-            s = succs[v]
-            while s:
-                bit = s & -s
-                s ^= bit
-                if preds[bit.bit_length() - 1] & ~now == 0:
-                    after |= bit
-            place(label + 1, now, after, prefix | label << shifts[v])
+            if preds[v] & rest == 0:  # minimal in rest
+                place(label + 1, rest ^ low, prefix | label << shifts[v])
 
-    minimal = sum(1 << v for v in range(size) if not preds[v])
     decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
     for pinned in range(1, size + 1):
         key = pinned if pinned > split else 0  # element 0's label in the tail
-        place(1, 0, minimal, 0)
+        place(1, (1 << size) - 1, 0)
         bucket.sort()
         words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
         yield from map(decode, words)

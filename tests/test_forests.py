@@ -179,17 +179,6 @@ def test_enumeration_guard():
     assert next(enumerate_forests(5, max_shrubs=5)).size == 5
 
 
-def test_enumeration_partitions_by_first_shrub():
-    firsts = [f.shrubs[0] for f in enumerate_forests(2)]
-    seen = []
-    for first in dict.fromkeys(firsts):
-        seen.extend(enumerate_forests(2, first=first))
-    assert len(seen) == 80
-    assert set(seen) == set(enumerate_forests(2))
-    with pytest.raises(ValueError):
-        list(enumerate_forests(1, first=Shrub(1, 2, 7)))
-
-
 def test_distribution_examples():
     assert rise_distribution(RiseKind.WORD, 1) == XPoly((0, 1, 1))
     assert rise_distribution(RiseKind.TOTAL, 2) == XPoly((76, 4))

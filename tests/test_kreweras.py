@@ -94,31 +94,11 @@ def test_enumerate_paths_guard_and_prefix():
         next(enumerate_paths(7, max_triples=7))
         == (Step.NE,) * 7 + (Step.W,) * 7 + (Step.S,) * 7
     )
-    # partition by first step: W or S first is impossible
-    by_prefix = []
-    for first in (Step.NE, Step.W, Step.S):
-        by_prefix.extend(enumerate_paths(2, prefix=(first,)))
-    assert by_prefix == list(enumerate_paths(2))
-    with pytest.raises(ValueError):
-        list(enumerate_paths(1, prefix=(Step.NE,) * 4))
 
 
 def test_prefix_is_parsed_like_a_word():
     with pytest.raises(ValueError, match="step letters must be N, W or S"):
-        list(enumerate_paths(1, prefix="NX"))
-    assert list(enumerate_paths(1, prefix="NW")) == [path_from_word("NWS")]
-
-
-@given(
-    st.integers(0, 4).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(Step), max_size=3 * n))
-    )
-)
-def test_prefix_stream_is_the_filtered_full_stream(case):
-    n, prefix = case
-    q = tuple(prefix)
-    expected = [p for p in enumerate_paths(n) if p[: len(q)] == q]
-    assert list(enumerate_paths(n, prefix=q)) == expected
+        path_from_word("NX")
 
 
 @given(st.lists(st.sampled_from(Step)).map(tuple))

@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 
 #: Public names by the module that defines them.
 _EXPORTS = {
-    "errors": ("GuardExceeded",),
     "forests": (
         "Forest",
-        "RiseKind",
         "Shrub",
         "enumerate_forests",
         "forest_count",
@@ -55,6 +53,7 @@ _EXPORTS = {
         "rows_from_extension",
         "rows_from_path",
     ),
+    "names": ("GuardExceeded", "RiseKind"),
     "polynomial": ("XPoly",),
     "posets": (
         "Poset",

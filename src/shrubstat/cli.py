@@ -23,7 +23,7 @@ bound on n, and ``--force`` lifts it for one invocation.
 Each command runs in a fresh interpreter, so start-up is part of its
 cost: the parser is built from :mod:`shrubstat.names` alone, and each
 command imports the layers it calls (and ``json`` for ``--format json``)
-when it runs.  The layers stay reachable as attributes of this module.
+when it runs.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from importlib import import_module
 from itertools import islice
 
-from .errors import GuardExceeded
 from .names import (
     DEFAULT_MAX_COUNT_SIZE,
     DEFAULT_MAX_ENUM_SIZE,
@@ -46,22 +44,12 @@ from .names import (
     LINEXT_KINDS,
     MIN_RISE,
     POSET_FAMILIES,
+    GuardExceeded,
 )
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-#: Layers that the commands import when they run.
-_LAYERS = ("counts", "forests", "kreweras", "posets", "series")
-
-
-def __getattr__(name: str):
-    """A layer as an attribute of this module, imported on first access."""
-    if name in _LAYERS:
-        return import_module(f"{__package__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Sequences indexed from n = 1; each is the `counts` function of the
 #: same name in lower case.

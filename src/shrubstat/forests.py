@@ -30,8 +30,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import check_guard
-from .names import DEFAULT_MAX_SHRUBS, RiseKind
+from .names import DEFAULT_MAX_SHRUBS, RiseKind, check_guard
 from .polynomial import XPoly
 from .record import Record
 

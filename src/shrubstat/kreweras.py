@@ -20,8 +20,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterator, Sequence
 
-from .errors import check_guard
-from .names import DEFAULT_MAX_TRIPLES
+from .names import DEFAULT_MAX_TRIPLES, check_guard
 from .record import Record
 
 # Steps per walk that enumerate_paths takes from its table of

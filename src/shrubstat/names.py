@@ -1,8 +1,10 @@
-"""Names and default sizes that the command-line parser and the layers share.
+"""Names, default sizes and the guard that the command-line parser and the
+layers share.
 
 The parser builds its choices and defaults from this module alone, so a
-command loads only the layers it runs.  Nothing here imports from the
-package; each layer re-exports the names it owns.
+command loads only the layers it runs.  The one refusal,
+:func:`check_guard`, sits beside the four limits it enforces.  Nothing here
+imports from the package; each layer re-exports the names it owns.
 """
 
 from enum import Enum
@@ -61,3 +63,21 @@ DEFAULT_MAX_ENUM_SIZE = 12
 #: The poset families of ``extensions``, each with the elements it has
 #: beyond its 3n shrub nodes (E and S cap the chain at one end, B at both).
 POSET_FAMILIES = {"A": 0, "E": 1, "S": 1, "B": 2, "ISF": 0, "IBF": 0, "L": 0}
+
+
+class GuardExceeded(RuntimeError):
+    """Raised when an exhaustive computation is refused at desk scale.
+
+    Each entry point bounds its size by a keyword (``max_shrubs``,
+    ``max_triples`` or ``max_size``) whose default is one of the four
+    limits above, so going past it is always a conscious choice; the
+    command line derives its n limits from them.  The refusal,
+    :func:`check_guard`, sits beside those limits in this module.
+    """
+
+
+def check_guard(size: int, limit: int, keyword: str, what: str) -> None:
+    """Refuse size past limit: the message is size, then what, then the
+    keyword setting that would allow it."""
+    if size > limit:
+        raise GuardExceeded(f"{size} {what}; pass {keyword}={size} to allow it")

@@ -130,7 +130,7 @@ class XPoly:
         acc: Scalar = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
-        return _norm(Fraction(acc)) if isinstance(acc, Fraction) else acc
+        return _norm(acc)
 
     def divexact(self, divisor: "XPoly") -> "XPoly":
         """Exact quotient self / divisor; ArithmeticError if it does not divide."""
@@ -157,12 +157,9 @@ class XPoly:
             raise ArithmeticError("polynomial division is not exact")
         return XPoly(out)
 
-    def is_integral(self) -> bool:
-        return all(not isinstance(c, Fraction) for c in self._coeffs)
-
     def int_coeffs(self) -> tuple:
         """Coefficients as ints; ArithmeticError on any fractional coefficient."""
-        if not self.is_integral():
+        if any(isinstance(c, Fraction) for c in self._coeffs):
             raise ArithmeticError(f"non-integer coefficient in {self!r}")
         return self._coeffs
 

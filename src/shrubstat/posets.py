@@ -36,8 +36,7 @@ from itertools import pairwise, repeat
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import check_guard
-from .names import DEFAULT_MAX_COUNT_SIZE, DEFAULT_MAX_ENUM_SIZE
+from .names import DEFAULT_MAX_COUNT_SIZE, DEFAULT_MAX_ENUM_SIZE, check_guard
 from .record import Record
 
 #: Labels each labeling takes from the table of completions rather than

@@ -158,10 +158,10 @@ def test_verify_rejects_max_n_below_1(capsys, max_n):
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):
-    from shrubstat import cli as cli_module
+    from shrubstat import forests
 
     monkeypatch.setattr(
-        cli_module.forests,
+        forests,
         "rise_distribution",
         lambda stat, n, max_shrubs=4: XPoly((1,)),
     )
@@ -172,11 +172,9 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
 
 def test_verify_detects_a_minimal_ascent_mismatch(capsys, monkeypatch):
     # the brute-force side of minris is an int, compared with the polynomial
-    from shrubstat import cli as cli_module
+    from shrubstat import forests
 
-    monkeypatch.setattr(
-        cli_module.forests, "min_rise_count", lambda n, max_shrubs=4: 0
-    )
+    monkeypatch.setattr(forests, "min_rise_count", lambda n, max_shrubs=4: 0)
     code, out, _ = run(capsys, "verify", "--stat", "minris", "--max-n", "2")
     assert code == 1
     assert out == "1  FAIL\n2  FAIL\nFAIL\n"

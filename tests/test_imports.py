@@ -66,6 +66,22 @@ def test_seq_loads_no_polynomial(baseline):
     assert not {"shrubstat.polynomial", "fractions"} & loaded
 
 
+def test_start_path_loads_only_what_it_names(baseline):
+    def package_modules(code: str) -> list[str]:
+        loaded = loaded_after(code) - baseline
+        return sorted(m for m in loaded if m.startswith("shrubstat"))
+
+    argv = ["seq", "--name", "LB", "--count", "5"]
+    assert package_modules(f"from shrubstat.cli import main\nmain({argv!r})") == [
+        "shrubstat",
+        "shrubstat.cli",
+        "shrubstat.counts",
+        "shrubstat.names",
+    ]
+    guard_and_kinds = "from shrubstat import GuardExceeded, RiseKind"
+    assert package_modules(guard_and_kinds) == ["shrubstat", "shrubstat.names"]
+
+
 def test_every_public_name_resolves():
     for name in shrubstat.__all__:
         value = getattr(shrubstat, name)
@@ -85,7 +101,6 @@ def test_layer_modules_are_package_attributes():
     from shrubstat import cli, series
 
     assert shrubstat.series is series
-    assert cli.forests is sys.modules["shrubstat.forests"]
     with pytest.raises(AttributeError):
         shrubstat.no_such_name
     with pytest.raises(AttributeError):

@@ -13,6 +13,10 @@ the three terms being the squares of the n-1 indicators, the n-2 pairs
 of consecutive indicators, and the disjoint pairs.  a and c come from
 the forests of two and three shrubs alone, so the check reaches every
 n without relying on the series arithmetic it checks.
+
+The word statistic ris is checked the same way: it is a sum of one term
+per shrub and one per boundary between shrubs, whose joint moments
+reach over at most three adjacent shrubs.
 """
 
 from fractions import Fraction
@@ -47,3 +51,46 @@ def test_second_moment_from_windows(kind):
         dist = gf.coeff(n).coeffs
         second = Fraction(sum(k * k * m for k, m in enumerate(dist)), sum(dist))
         assert second == (n - 1) * a + 2 * (n - 2) * c + (n - 2) * (n - 3) * a * a, n
+
+
+def mean(values):
+    values = list(values)
+    return Fraction(sum(values), len(values))
+
+
+def test_word_rise_second_moment_from_windows():
+    # ris = sum_i Y_i + sum_j Z_j: Y_i = 1 + [left_i < right_i] counts the
+    # ascents inside shrub i (root -> left always ascends), and
+    # Z_j = [right_j < root_{j+1}] the ascent across boundary j.
+    def y(shrub):
+        return 1 + (shrub.left < shrub.right)
+
+    def z(f, g):
+        return int(f.right < g.root)
+
+    ones = [f.shrubs for f in enumerate_forests(1)]
+    twos = [f.shrubs for f in enumerate_forests(2)]
+    threes = [f.shrubs for f in enumerate_forests(3)]
+    ey, ey2 = mean(y(s) for (s,) in ones), mean(y(s) ** 2 for (s,) in ones)
+    ez = mean(z(f, g) for f, g in twos)
+    ey_left = mean(y(f) * z(f, g) for f, g in twos)  # E[Y_j Z_j]
+    ey_right = mean(y(g) * z(f, g) for f, g in twos)  # E[Y_{j+1} Z_j]
+    ezz = mean(z(f, g) * z(g, h) for f, g, h in threes)
+    assert (ey, ey2, ez) == (Fraction(3, 2), Fraction(5, 2), Fraction(1, 8))
+    assert (ey_left, ey_right) == (Fraction(3, 20), Fraction(3, 16))
+    assert ezz == Fraction(1, 168)
+    gf = rise_gf("ris", N)
+    for n in range(1, N + 1):
+        b = n - 1
+        pairs = max(b - 1, 0)  # adjacent boundary pairs
+        expected = (
+            n * ey2
+            + n * (n - 1) * ey**2
+            + 2 * (b * (ey_left + ey_right) + b * (n - 2) * ey * ez)
+            + b * ez
+            + 2 * pairs * ezz
+            + (b * b - b - 2 * pairs) * ez**2
+        )
+        dist = gf.coeff(n).coeffs
+        second = Fraction(sum(k * k * m for k, m in enumerate(dist)), sum(dist))
+        assert second == expected, n

@@ -9,14 +9,15 @@ is as deep as the poset is large.  Before it runs, twins (elements with
 the same predecessors and the same successors) are chained in index
 order and the count multiplied back by k! per class of k, which is
 exact because swapping two twins maps labelings onto labelings.
-Enumeration is intended for smaller posets: it backtracks over the
-first labels and takes the last few from a table of completions keyed
-by the set of unplaced elements, with each labeling held as one int (a
-fixed-width field per element) until it is yielded.  Both halves give
-the next label by one rule: to an unplaced element none of whose
-predecessors is unplaced.  Counting and enumeration refuse a cover
-relation with a cycle, which :class:`graphlib.TopologicalSorter`
-detects.
+Enumeration is intended for smaller posets: it backtracks until
+element 0 has its label and at most ``_TAIL_LABELS`` labels remain,
+and takes the rest from a table of completions keyed by the set of
+unplaced elements (an up-set without element 0), with each labeling
+held as one int (a fixed-width field per element) until it is
+yielded.  Both halves give the next label by one rule: to an unplaced
+element none of whose predecessors is unplaced.  Counting and
+enumeration refuse a cover relation with a cycle, which
+:class:`graphlib.TopologicalSorter` detects.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -193,12 +194,12 @@ def enumerate_linear_extensions(
     it sorts before those of bucket a+1, so only one bucket is ever
     held and sorted.
 
-    Within a bucket, labels 1..size-T (T = _TAIL_LABELS) are placed by
-    backtracking.  The last T labels come from a table of completions,
-    filled on first use and kept for every bucket: it is keyed by the
-    set of unplaced elements (an up-set), and splits each set's
-    completions by the label they give element 0, so a bucket reads
-    only those that agree with its pin.  The head and the table follow
+    Within a bucket, labels are placed by backtracking until element 0
+    has its label and at most T = _TAIL_LABELS labels remain.  The
+    remaining labels come from a table of completions, filled on first
+    use and kept for every bucket: it is keyed by the set of unplaced
+    elements, an up-set without element 0, so every completion in it
+    agrees with the bucket's pin.  The head and the table follow
     one rule: the next label goes to an element of the unplaced set
     with no predecessor in that set.  A labeling is held as one int
     with a fixed-width field per element, element 0 in the most
@@ -217,14 +218,14 @@ def enumerate_linear_extensions(
     fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
     nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
-    split = max(0, size - _TAIL_LABELS)  # the last label placed by backtracking
-    # unplaced up-set -> {label of element 0 (0 if it is placed): codes}
+    split = max(0, size - _TAIL_LABELS)  # backtracking places at least 1..split
+    # unplaced up-set without element 0 -> the codes of its completions
     @cache
-    def completions(rest: int) -> dict[int, list[int]]:
+    def completions(rest: int) -> list[int]:
         if not rest:
-            return {0: [0]}
+            return [0]
         label = size + 1 - rest.bit_count()  # the first label rest takes
-        found: dict[int, list[int]] = {}
+        found: list[int] = []
         m = rest
         while m:
             low = m & -m
@@ -233,18 +234,15 @@ def enumerate_linear_extensions(
             if preds[v] & rest:
                 continue  # not minimal in rest
             code = label << shifts[v]
-            for key, codes in completions(rest ^ low).items():
-                found.setdefault(label if v == 0 else key, []).extend(
-                    map(code.__or__, codes)
-                )
+            found.extend(map(code.__or__, completions(rest ^ low)))
         return found
 
     bucket: list[int] = []
 
     def place(label: int, rest: int, prefix: int) -> None:
         # rest: the unplaced elements
-        if label > split:
-            bucket.extend(map(prefix.__or__, completions(rest).get(key, ())))
+        if label > split and not rest & 1:  # element 0 has its label
+            bucket.extend(map(prefix.__or__, completions(rest)))
             return
         # element 0 takes the bucket's label and no other
         m = rest & 1 if label == pinned else rest & ~1
@@ -257,7 +255,6 @@ def enumerate_linear_extensions(
 
     decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
     for pinned in range(1, size + 1):
-        key = pinned if pinned > split else 0  # element 0's label in the tail
         place(1, (1 << size) - 1, 0)
         bucket.sort()
         words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))

@@ -17,13 +17,22 @@ n without relying on the series arithmetic it checks.
 The word statistic ris is checked the same way: it is a sum of one term
 per shrub and one per boundary between shrubs, whose joint moments
 reach over at most three adjacent shrubs.
+
+The factorial moments E[X(X-1)...(X-k+1)] of the pair statistics, for
+k = 1..3, are k! times the sum, over the k-subsets S of the n-1
+boundaries, of the chance that every boundary in S rises.  A maximal
+run of r consecutive boundaries in S rises with the chance p_r that a
+forest of r+1 shrubs rises at every boundary, and runs split by a
+boundary outside S touch disjoint shrubs, so that chance is the
+product of the p_r over S's runs.
 """
 
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 
-from shrubstat import enumerate_forests, rise_stat
+from shrubstat import enumerate_forests, forest_count, rise_distribution, rise_stat
 from shrubstat.series import rise_gf
 
 N = 20
@@ -94,3 +103,53 @@ def test_word_rise_second_moment_from_windows():
         dist = gf.coeff(n).coeffs
         second = Fraction(sum(k * k * m for k, m in enumerate(dist)), sum(dist))
         assert second == expected, n
+
+
+# p_3 of each pair statistic: a forest of four shrubs rises at all three
+# boundaries (p_1 and p_2 are the WINDOWS)
+ALL_RISE_4 = {
+    "risT": Fraction(1, 369600),
+    "risB": Fraction(1, 24),
+    "risL": Fraction(1, 2100),
+    "risA": Fraction(757, 6720),
+}
+
+K = 3  # the highest factorial moment checked
+N_FACTORIAL = 30
+
+
+def factorial_moments(p, n):
+    """E[X(X-1)...(X-k+1)] for k = 0..K at n shrubs, p[r] being the
+    chance that r given consecutive boundaries all rise."""
+    # (boundaries chosen, length of the run ending at the last boundary)
+    # -> sum of the products of p over the runs closed so far
+    states = {(0, 0): Fraction(1)}
+    for _ in range(n - 1):
+        after = {}
+        for (k, run), w in states.items():
+            after[k, 0] = after.get((k, 0), 0) + w * p[run]  # skip: the run closes
+            if k < K:
+                after[k + 1, run + 1] = after.get((k + 1, run + 1), 0) + w
+        states = after
+    sums = [Fraction(0)] * (K + 1)
+    for (k, run), w in states.items():
+        sums[k] += w * p[run]
+    return [factorial(k) * s for k, s in enumerate(sums)]
+
+
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_factorial_moments_from_runs(kind):
+    p = [Fraction(1)] + [
+        Fraction(rise_distribution(kind, r + 1).coeff(r), forest_count(r + 1))
+        for r in range(1, K + 1)
+    ]
+    assert (p[1], p[2]) == WINDOWS[kind]
+    assert p[3] == ALL_RISE_4[kind]
+    gf = rise_gf(kind, N_FACTORIAL)
+    for n in range(2, N_FACTORIAL + 1):
+        dist = gf.coeff(n).coeffs
+        total = sum(dist)
+        expected = factorial_moments(p, n)
+        for k in range(1, K + 1):
+            moment = Fraction(sum(perm(j, k) * m for j, m in enumerate(dist)), total)
+            assert moment == expected[k], (n, k)

@@ -67,11 +67,11 @@ def test_enumeration_matches_count_and_is_sorted():
         build_ibf_poset(2),
         build_lex_poset(2),
         build_adjacent_poset("B", 1),
-        # all labels from the table of completions, then one backtracked
+        # split 0, then 1: the head stops once element 0 is labeled
         antichain(_TAIL_LABELS),
         antichain(_TAIL_LABELS + 1),
         build_adjacent_poset("A", 3),
-        # element 0 maximal: the late buckets label it inside the tail
+        # element 0 maximal: the head backtracks past split to label it
         Poset.from_covers(9, [(1, 0), (2, 0), (3, 4), (4, 5), (6, 7), (7, 8)]),
         # 300 elements: two bytes per label; element 0 is free
         Poset.from_covers(300, [(i, i + 1) for i in range(1, 299)]),

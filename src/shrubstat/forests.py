@@ -203,15 +203,16 @@ def _forests_rec(
             acc.pop()
 
 
-def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc, lookup):
+def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc):
     """Add every forest on ``remaining`` after the shrub (pr, pu, pv).
 
     ``remaining`` is sorted, so ``combinations`` yields each next shrub
     as (root, a, b) with the root smallest, and both leaf orders (a, b)
     and (b, a) follow.  The five running counts (ris, risT, risB, risL,
     risA) go down the recursion, and the leaf adds one forest to each
-    histogram at its count.  With ``lookup`` on, the last two shrubs
-    come from :func:`_tail_counts` once six labels remain.
+    histogram at its count.  A shrub that leaves six labels adds the
+    last two shrubs from :func:`_tail_counts` instead of recursing; the
+    table's fill starts at six labels, so it never meets that lookup.
     """
     if not remaining:
         word, total, base, lex, adj = hists
@@ -220,17 +221,6 @@ def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc, lookup):
         base[bacc] += 1
         lex[lacc] += 1
         adj[aacc] += 1
-        return
-    if lookup and len(remaining) == 6:
-        key = (
-            bisect_left(remaining, pr),
-            bisect_left(remaining, pu),
-            bisect_left(remaining, pv),
-        )
-        accs = (racc, tacc, bacc, lacc, aacc)
-        for hist, acc, pairs in zip(hists, accs, _tail_counts(key)):
-            for offset, count in pairs:
-                hist[acc + offset] += count
         return
     for (i, root), (j, a), (k, b) in combinations(enumerate(remaining), 3):
         rest = remaining[:i] + remaining[i + 1 : j]
@@ -242,7 +232,14 @@ def _sweep(hists, remaining, pr, pu, pv, racc, tacc, bacc, lacc, aacc, lookup):
         for u, v in ((a, b), (b, a)):
             nl = lacc + (up and pu < u and pv < v)
             na = aacc + (pv < u)
-            _sweep(hists, rest, root, u, v, nr + (u < v), nt, nb, nl, na, lookup)
+            if len(rest) != 6:
+                _sweep(hists, rest, root, u, v, nr + (u < v), nt, nb, nl, na)
+                continue
+            key = (bisect_left(rest, root), bisect_left(rest, u), bisect_left(rest, v))
+            accs = (nr + (u < v), nt, nb, nl, na)
+            for hist, acc, pairs in zip(hists, accs, _tail_counts(key)):
+                for offset, count in pairs:
+                    hist[acc + offset] += count
 
 
 @cache
@@ -257,15 +254,16 @@ def _tail_counts(
     comparison a tail makes is between a label of the previous shrub
     and a remaining label, or between two remaining labels, so its
     outcome depends on the ranks alone.  The entry is filled by
-    :func:`_sweep` itself, with the lookup off and every running count
-    at 0, on stand-in labels: the six labels are 2, 4, ..., 12 and a
-    label of rank r is 2r + 1.  Returns, for ris, risT, risB, risL and
-    risA in that order, the nonzero (offset, count) pairs: ``count``
-    tails raise the statistic by ``offset`` over the prefix's value.
+    :func:`_sweep` itself, started at the six labels with every running
+    count at 0, on stand-in labels: the six labels are 2, 4, ..., 12
+    and a label of rank r is 2r + 1.  Returns, for ris, risT, risB,
+    risL and risA in that order, the nonzero (offset, count) pairs:
+    ``count`` tails raise the statistic by ``offset`` over the
+    prefix's value.
     """
     hists = tuple([0] * 7 for _ in range(5))
     pr, pu, pv = (2 * r + 1 for r in key)
-    _sweep(hists, (2, 4, 6, 8, 10, 12), pr, pu, pv, 0, 0, 0, 0, 0, False)
+    _sweep(hists, (2, 4, 6, 8, 10, 12), pr, pu, pv, 0, 0, 0, 0, 0)
     return tuple(
         tuple((offset, count) for offset, count in enumerate(hist) if count)
         for hist in hists
@@ -280,15 +278,16 @@ def _distributions(n: int) -> dict[str, tuple[int, ...]]:
     statistics are the same comparisons as :func:`rise_stat`, checked
     against the object path exhaustively for n <= 3 in the test suite.
     The first shrub sees a sentinel above every label, so it adds no
-    rise between shrubs.  :func:`_sweep` walks every shrub but the last
-    two forest by forest and takes those two from :func:`_tail_counts`,
-    a table of 140 entries shared by every n.
+    rise between shrubs.  From n = 3 on, :func:`_sweep` walks every
+    shrub but the last two forest by forest and takes those two from
+    :func:`_tail_counts`, a table of 140 entries shared by every n; at
+    n = 1 and 2 it walks every forest.
     """
     word = [0] * (3 * n)
     total, base, lex, adj = ([0] * n for _ in range(4))
     hists = (word, total, base, lex, adj)
     top = 3 * n + 1
-    _sweep(hists, tuple(range(1, top)), top, top, top, 0, 0, 0, 0, 0, True)
+    _sweep(hists, tuple(range(1, top)), top, top, top, 0, 0, 0, 0, 0)
     out = {RiseKind.WORD.value: tuple(word)}
     out.update(
         (kind.value, tuple(hist))

@@ -98,44 +98,37 @@ def enumerate_paths(
     """Yield every valid walk of length 3n once, lexicographically in
     the step order NE < W < S.
 
-    The last nine steps of each walk come from a table of completions
-    built during the call, which holds at most 5 769 tails for any n
-    (5 587 at n = 6).
+    One recursion lists walks up to a stop length: streamed from the
+    origin it gives each walk but its last nine steps, and run from the
+    step counts there, cached per counts, it gives a table of
+    completions that supplies those nine.  The table is built during
+    the call and holds at most 3 674 tails in 22 entries for any n
+    (3 512 in 14 at n = 6).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     check_guard(n, max_triples, "max_triples", "triples make walks to enumerate")
 
     # The walks after a head depend only on its step counts, so the
-    # tail of every walk comes from a table of completions per
-    # (ne, w, s), filled on first use; the head is walked step by step
-    # in one shared list (a new tuple per step raises the peak RSS).
+    # tails are listed once per counts; the heads stream, so the first
+    # walk comes without listing every head.
     total = 3 * n
-    split = max(0, total - _TAIL_STEPS)
-    steps: list[Step] = []
+
+    def walks(counts: _Counts, stop: int) -> Iterator[tuple[Path, _Counts]]:
+        # each walk from counts until stop steps, with its counts there
+        if sum(counts) == stop:
+            yield (), counts
+            return
+        for step, after in _moves(n, counts):
+            for steps, end in walks(after, stop):
+                yield (step, *steps), end
 
     @cache
     def completions(counts: _Counts) -> list[Path]:
-        if sum(counts) == total:
-            return [()]
-        return [
-            (step,) + tail
-            for step, after in _moves(n, counts)
-            for tail in completions(after)
-        ]
+        return [tail for tail, _ in walks(counts, total)]
 
-    def rec(counts: _Counts) -> Iterator[Path]:
-        if len(steps) == split:
-            head = tuple(steps)
-            for tail in completions(counts):
-                yield head + tail
-            return
-        for step, after in _moves(n, counts):
-            steps.append(step)
-            yield from rec(after)
-            steps.pop()
-
-    yield from rec((0, 0, 0))
+    for head, counts in walks((0, 0, 0), max(0, total - _TAIL_STEPS)):
+        yield from map(head.__add__, completions(counts))
 
 
 def count_paths(n: int) -> int:

@@ -57,7 +57,7 @@ DEFAULT_MAX_COUNT_SIZE = 24
 #: largest bucket of them sharing element 0's label (an int per labeling;
 #: A at n = 4, 12 elements, has 666 160 labelings and buckets of at most
 #: 211 651), plus a table of completions that is small beside it (there:
-#: 150 up-sets with 7 073 completions in all).
+#: 47 up-sets with 5 383 completions in all).
 DEFAULT_MAX_ENUM_SIZE = 12
 
 #: The poset families of ``extensions``, each with the elements it has

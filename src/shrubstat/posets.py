@@ -9,15 +9,16 @@ is as deep as the poset is large.  Before it runs, twins (elements with
 the same predecessors and the same successors) are chained in index
 order and the count multiplied back by k! per class of k, which is
 exact because swapping two twins maps labelings onto labelings.
-Enumeration is intended for smaller posets: it backtracks until
-element 0 has its label and at most ``_TAIL_LABELS`` labels remain,
-and takes the rest from a table of completions keyed by the set of
-unplaced elements (an up-set without element 0), with each labeling
-held as one int (a fixed-width field per element) until it is
-yielded.  Both halves give the next label by one rule: to an unplaced
-element none of whose predecessors is unplaced.  Counting and
-enumeration refuse a cover relation with a cycle, which
-:class:`graphlib.TopologicalSorter` detects.
+Enumeration is intended for smaller posets.  It is one recursion,
+which gives the next label to an unplaced element none of whose
+predecessors is unplaced and stops once element 0 has its label and
+few enough elements remain.  Streamed from the whole poset, it gives
+the heads of the labelings, stopping at ``_TAIL_LABELS`` elements;
+cached per unplaced set (an up-set without element 0), run to the
+end, it gives the table of completions that finishes them.  Each
+labeling is held as one int (a fixed-width field per element) until
+it is yielded.  Counting and enumeration refuse a cover relation with
+a cycle, which :class:`graphlib.TopologicalSorter` detects.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -194,20 +195,27 @@ def enumerate_linear_extensions(
     it sorts before those of bucket a+1, so only one bucket is ever
     held and sorted.
 
-    Within a bucket, labels are placed by backtracking until element 0
-    has its label and at most T = _TAIL_LABELS labels remain.  The
-    remaining labels come from a table of completions, filled on first
-    use and kept for every bucket: it is keyed by the set of unplaced
-    elements, an up-set without element 0, so every completion in it
-    agrees with the bucket's pin.  The head and the table follow
-    one rule: the next label goes to an element of the unplaced set
-    with no predecessor in that set.  A labeling is held as one int
-    with a fixed-width field per element, element 0 in the most
-    significant field, so a labeling is its head's int or'ed with a
-    completion's, and int order is the order of label words.  The
-    recursion takes one frame per label (and two more), so a poset
-    beyond the interpreter's recursion limit raises RecursionError
-    before any work.
+    One recursive generator places the labels: with rest the unplaced
+    elements, the next label, size + 1 - |rest|, goes to an element of
+    rest with no predecessor in rest, and to element 0 only when it is
+    the bucket's label.  It yields each (code, rest) once element 0 has
+    its label and at most keep elements are unplaced.  A bucket streams
+    it from the whole poset with keep = T = _TAIL_LABELS for the heads
+    of its labelings.  Each head is finished from a table of
+    completions, filled on first use and kept for every bucket: the
+    same generator run with keep = 0 from the head's unplaced set,
+    cached by that set.  The set is an up-set without element 0, so
+    every completion agrees with the bucket's pin.  A labeling is held
+    as one int with a fixed-width field per element, element 0 in the
+    most significant field, so a labeling is its head's int or'ed with
+    a completion's, and int order is the order of label words.
+
+    The head nests one generator frame per label it places, and a table
+    entry, filled beside the head rather than beneath it, at most T, so
+    from a shallow stack a chain nearly as long as the interpreter's
+    recursion limit enumerates.  A poset beyond that limit raises
+    RecursionError before any work; one just below it can still raise
+    it when the caller's stack is already deep.
     """
     check_size(poset.size, max_size)
     _, preds = _cover_masks(poset)
@@ -218,48 +226,37 @@ def enumerate_linear_extensions(
     fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
     nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
-    split = max(0, size - _TAIL_LABELS)  # backtracking places at least 1..split
-    # unplaced up-set without element 0 -> the codes of its completions
-    @cache
-    def completions(rest: int) -> list[int]:
-        if not rest:
-            return [0]
-        label = size + 1 - rest.bit_count()  # the first label rest takes
-        found: list[int] = []
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if preds[v] & rest:
-                continue  # not minimal in rest
-            code = label << shifts[v]
-            found.extend(map(code.__or__, completions(rest ^ low)))
-        return found
 
-    bucket: list[int] = []
-
-    def place(label: int, rest: int, prefix: int) -> None:
-        # rest: the unplaced elements
-        if label > split and not rest & 1:  # element 0 has its label
-            bucket.extend(map(prefix.__or__, completions(rest)))
+    def labelings(rest: int, keep: int, pinned: int) -> Iterator[tuple[int, int]]:
+        # rest: the unplaced elements; element 0 takes the label pinned only
+        if rest.bit_count() <= keep and not rest & 1:
+            yield 0, rest
             return
-        # element 0 takes the bucket's label and no other
+        label = size + 1 - rest.bit_count()  # the next label to place
         m = rest & 1 if label == pinned else rest & ~1
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             if preds[v] & rest == 0:  # minimal in rest
-                place(label + 1, rest ^ low, prefix | label << shifts[v])
+                code = label << shifts[v]
+                for prefix, left in labelings(rest ^ low, keep, pinned):
+                    yield code | prefix, left
+
+    # unplaced up-set without element 0 -> the codes of its completions;
+    # no label is 0, so nothing is pinned
+    @cache
+    def completions(rest: int) -> list[int]:
+        return [code for code, _ in labelings(rest, 0, 0)]
 
     decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
     for pinned in range(1, size + 1):
-        place(1, (1 << size) - 1, 0)
+        bucket: list[int] = []
+        for prefix, rest in labelings((1 << size) - 1, _TAIL_LABELS, pinned):
+            bucket.extend(map(prefix.__or__, completions(rest)))
         bucket.sort()
         words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
         yield from map(decode, words)
-        bucket.clear()
 
 
 def _shrub_covers(n: int, links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,15 @@ def test_enumerate_paths_guard_and_prefix():
         next(enumerate_paths(7, max_triples=7))
         == (Step.NE,) * 7 + (Step.W,) * 7 + (Step.S,) * 7
     )
+
+
+def test_enumerate_paths_streams_its_heads():
+    # n = 12 has about 6.5e13 walks: listing every head before the first
+    # walk would not finish, while streaming them takes milliseconds
+    start = time.process_time()
+    first = next(enumerate_paths(12, max_triples=12))
+    assert time.process_time() - start < 1
+    assert first == (Step.NE,) * 12 + (Step.W,) * 12 + (Step.S,) * 12
 
 
 def test_prefix_is_parsed_like_a_word():

@@ -72,8 +72,8 @@ class XPoly:
             return self == XPoly.constant(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+    def __hash__(self) -> int:  # a constant hashes as the scalar it equals
+        return hash(self._coeffs) if self.degree > 0 else hash(self.coeff(0))
 
     def __neg__(self) -> "XPoly":
         return XPoly(-c for c in self._coeffs)

@@ -9,16 +9,18 @@ is as deep as the poset is large.  Before it runs, twins (elements with
 the same predecessors and the same successors) are chained in index
 order and the count multiplied back by k! per class of k, which is
 exact because swapping two twins maps labelings onto labelings.
-Enumeration is intended for smaller posets.  It is one recursion,
-which gives the next label to an unplaced element none of whose
-predecessors is unplaced and stops once element 0 has its label and
-few enough elements remain.  Streamed from the whole poset, it gives
-the heads of the labelings, stopping at ``_TAIL_LABELS`` elements;
-cached per unplaced set (an up-set without element 0), run to the
-end, it gives the table of completions that finishes them.  Each
-labeling is held as one int (a fixed-width field per element) until
-it is yielded.  Counting and enumeration refuse a cover relation with
-a cycle, which :class:`graphlib.TopologicalSorter` detects.
+Enumeration is intended for smaller posets.  It is one recursion, which
+gives the next label to an unplaced element none of whose predecessors
+is unplaced and stops once element 0 has its label and few enough
+elements remain.  It looks for that element only among candidates
+carried down as a bitmask, since placing an element can make only its
+successors minimal.  Streamed from the whole poset, it gives the heads
+of the labelings, stopping at ``_TAIL_LABELS`` elements; cached per
+unplaced set (an up-set without element 0), run to the end, it gives the
+table of completions that finishes them.  Each labeling is held as one
+int (a fixed-width field per element) until it is yielded.  Counting and
+enumeration refuse a cover relation with a cycle, which
+:class:`graphlib.TopologicalSorter` detects.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -198,17 +200,24 @@ def enumerate_linear_extensions(
     One recursive generator places the labels: with rest the unplaced
     elements, the next label, size + 1 - |rest|, goes to an element of
     rest with no predecessor in rest, and to element 0 only when it is
-    the bucket's label.  It yields each (code, rest) once element 0 has
-    its label and at most keep elements are unplaced.  A bucket streams
-    it from the whole poset with keep = T = _TAIL_LABELS for the heads
-    of its labelings.  Each head is finished from a table of
-    completions, filled on first use and kept for every bucket: the
-    same generator run with keep = 0 from the head's unplaced set,
-    cached by that set.  The set is an up-set without element 0, so
-    every completion agrees with the bucket's pin.  A labeling is held
-    as one int with a fixed-width field per element, element 0 in the
-    most significant field, so a labeling is its head's int or'ed with
-    a completion's, and int order is the order of label words.
+    the bucket's label.  It tests only its candidates, a bitmask that
+    holds every such element and perhaps more: placing v leaves the
+    candidates but v plus v's successors, the only elements that can
+    have lost their last unplaced predecessor.  So a label costs a test
+    per candidate, not one per element of rest, and a long chain beside
+    a free element is not rescanned at every label.  It yields each
+    (code, rest) once element 0 has its label and at most keep elements
+    are unplaced.  A bucket streams it from the whole poset, with the
+    elements that have no predecessor as candidates and keep = T =
+    _TAIL_LABELS, for the heads of its labelings.  Each head is
+    finished from a table of completions, filled on first use and kept
+    for every bucket: the same generator run with keep = 0 from the
+    head's unplaced set, all of it candidates, cached by that set.  The
+    set is an up-set without element 0, so every completion agrees with
+    the bucket's pin.  A labeling is held as one int with a fixed-width
+    field per element, element 0 in the most significant field, so a
+    labeling is its head's int or'ed with a completion's, and int order
+    is the order of label words.
 
     The head nests one generator frame per label it places, and a table
     entry, filled beside the head rather than beneath it, at most T, so
@@ -218,7 +227,7 @@ def enumerate_linear_extensions(
     it when the caller's stack is already deep.
     """
     check_size(poset.size, max_size)
-    _, preds = _cover_masks(poset)
+    succs, preds = _cover_masks(poset)
     size = poset.size
     if size == 0:
         yield ()
@@ -227,32 +236,37 @@ def enumerate_linear_extensions(
     nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
 
-    def labelings(rest: int, keep: int, pinned: int) -> Iterator[tuple[int, int]]:
-        # rest: the unplaced elements; element 0 takes the label pinned only
+    def labelings(
+        rest: int, near: int, keep: int, pinned: int
+    ) -> Iterator[tuple[int, int]]:
+        # rest: the unplaced elements; near: the candidates, every minimal
+        # element of rest and perhaps more; element 0 takes the label pinned only
         if rest.bit_count() <= keep and not rest & 1:
             yield 0, rest
             return
         label = size + 1 - rest.bit_count()  # the next label to place
-        m = rest & 1 if label == pinned else rest & ~1
+        m = near & 1 if label == pinned else near & ~1
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             if preds[v] & rest == 0:  # minimal in rest
                 code = label << shifts[v]
-                for prefix, left in labelings(rest ^ low, keep, pinned):
+                after = near ^ low | succs[v]  # only v's successors can turn minimal
+                for prefix, left in labelings(rest ^ low, after, keep, pinned):
                     yield code | prefix, left
 
     # unplaced up-set without element 0 -> the codes of its completions;
     # no label is 0, so nothing is pinned
     @cache
     def completions(rest: int) -> list[int]:
-        return [code for code, _ in labelings(rest, 0, 0)]
+        return [code for code, _ in labelings(rest, rest, 0, 0)]
 
     decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
+    sources = sum(1 << v for v in range(size) if not preds[v])
     for pinned in range(1, size + 1):
         bucket: list[int] = []
-        for prefix, rest in labelings((1 << size) - 1, _TAIL_LABELS, pinned):
+        for prefix, rest in labelings((1 << size) - 1, sources, _TAIL_LABELS, pinned):
             bucket.extend(map(prefix.__or__, completions(rest)))
         bucket.sort()
         words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))

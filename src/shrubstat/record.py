@@ -2,8 +2,11 @@
 
 A subclass names its fields, in order, in ``__slots__`` and may check
 them in ``__post_init__``.  Instances are built positionally or by
-keyword, are equal when class and fields are equal, hash by their
-fields, print as ``Name(field=value, ...)`` and refuse assignment with
+keyword: keywords fill the fields after the positional ones, and a
+wrong count, a repeated field or an unknown keyword raises one
+``TypeError`` that names the fields.  Instances are equal when class
+and fields are equal, hash by their fields, print as
+``Name(field=value, ...)`` and refuse assignment with
 ``AttributeError``: what ``@dataclass(frozen=True)`` gives, without
 importing ``dataclasses`` (and with it ``inspect``) at every start-up.
 """
@@ -14,30 +17,14 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
         if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+            name = self.__class__.__qualname__
+            raise TypeError(f"{name}() takes {', '.join(fields)}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positional and keyword arguments."""
-        fields = cls.__slots__
-        name = cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        values = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-            if field in values:
-                raise TypeError(f"{name}() got multiple values for argument {field!r}")
-            values[field] = value
-        missing = [field for field in fields if field not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return [values[field] for field in fields]
 
     def __post_init__(self) -> None:
         pass

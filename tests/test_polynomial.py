@@ -29,6 +29,13 @@ def test_comparison_with_a_scalar():
     assert XPoly((Fraction(1, 2),)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("value", [0, 5, -7, 2**70, Fraction(1, 2), Fraction(-9, 4)])
+def test_a_constant_hashes_as_the_scalar_it_equals(value):
+    p = XPoly.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1 and {value: "x"}[p] == "x"
+
+
 def test_addition_and_subtraction():
     p = XPoly((1, 2, 3))
     q = XPoly((0, 0, -3, 5))

@@ -1,4 +1,5 @@
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -209,6 +210,16 @@ def test_enumeration_at_the_field_width_switch(size):
     labels = range(1, size + 1)
     expected = [(a, *(label for label in labels if label != a)) for a in labels]
     assert list(enumerate_linear_extensions(poset, max_size=size)) == expected
+
+
+def test_free_plus_chain_drains_in_quadratic_time():
+    # each label has one or two candidates; a head that tests every
+    # unplaced element per label takes tens of seconds
+    size = 600
+    poset = Poset.from_covers(size, [(i, i + 1) for i in range(1, size - 1)])
+    start = time.process_time()
+    count = sum(1 for _ in enumerate_linear_extensions(poset, max_size=size))
+    assert count == size and time.process_time() - start < 5
 
 
 def test_adjacent_family_base_counts():

@@ -261,7 +261,9 @@ def cmd_extensions(args) -> int:
     # the largest n whose 3n + extra elements are at most size
     _check_guard(args, args.n, (size - POSET_FAMILIES[args.family]) // 3)
     poset = _poset(args.family, args.n)
-    if args.mode == "count":
+    if args.mode == "count" and args.family in ("A", "E", "S", "B"):  # fences
+        payload = [str(posets.count_fence_extensions(poset))]
+    elif args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
     else:
         names = [str(label) for label in range(poset.size + 1)]

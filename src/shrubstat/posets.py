@@ -22,6 +22,15 @@ int (a fixed-width field per element) until it is yielded.  Counting and
 enumeration refuse a cover relation with a cycle, which
 :class:`graphlib.TopologicalSorter` detects.
 
+A fence, a poset whose Hasse diagram is a path, has a faster count: an
+up/down DP along the path, in O(size²) additions.  The four
+adjacent-chain families are fences: each shrub's root sits between its
+two leaves, and each right leaf lies below the next left leaf, so the
+path runs L₀ > r₀ < R₀ < L₁ > r₁ < R₁ < ..., with S's cap below L₀ and
+E's above the last R.  The command line counts them this way and keeps
+the down-set DP for the others, whose diagrams branch; the DP stays the
+oracle the fence count is tested against.
+
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
 grid poset of componentwise-increasing forests, and the four
@@ -36,7 +45,7 @@ import struct
 import sys
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -186,6 +195,41 @@ def count_linear_extensions(
     return orders * ways((1 << poset.size) - 1, tops)
 
 
+def count_fence_extensions(poset: Poset) -> int:
+    """Exact number of linear extensions of a fence: a poset whose Hasse
+    diagram is a path, each cover pointing either way along it.
+
+    The walk starts at one end.  After i elements, dp[j] counts the
+    orders of those i in which the last has rank j (0-based).  Stepping
+    up to an element above the last gives it any rank k with the last
+    below it, so the new dp[k] is the sum of dp[j] for j < k, a prefix
+    sum; stepping down gives the suffix sum of dp[j] for j >= k.  The
+    total is the sum of dp at the far end, in O(size²) additions, with
+    no recursion and no guard (Stanley, *Enumerative Combinatorics I*,
+    §1.4; de Bruijn 1970).  Raises ValueError unless the covers form one
+    path: size - 1 of them, every element on at most two, all reached
+    from an end.
+    """
+    size = poset.size
+    if size <= 1:
+        return 1
+    links: list[list[tuple[int, bool]]] = [[] for _ in range(size)]
+    for u, v in poset.covers:
+        links[u].append((v, True))  # v lies above u
+        links[v].append((u, False))
+    if len(poset.covers) != size - 1:
+        raise ValueError("the Hasse diagram of the poset is not a path")
+    v = next(w for w in range(size) if len(links[w]) < 2)  # an end, or isolated
+    prev, dp = -1, [1]
+    for _ in range(size - 1):
+        step = [link for link in links[v] if link[0] != prev]
+        if len(step) != 1:  # a branch, or an end before the last element
+            raise ValueError("the Hasse diagram of the poset is not a path")
+        prev, (v, up) = v, step[0]
+        dp = [0, *accumulate(dp)] if up else [*accumulate(dp[::-1])][::-1] + [0]
+    return sum(dp)
+
+
 def enumerate_linear_extensions(
     poset: Poset, *, max_size: int = DEFAULT_MAX_ENUM_SIZE
 ) -> Iterator[tuple[int, ...]]:
@@ -311,7 +355,8 @@ def build_adjacent_poset(variant: str, n: int) -> Poset:
     the next.  ``E`` adds one extra node above the last right leaf;
     ``S`` adds one extra node below the first left leaf; ``B`` adds
     both.  n = 0 degenerates to the empty poset, a point, a point, and
-    a two-chain respectively.
+    a two-chain respectively.  Each is a fence (its Hasse diagram is a
+    path), so :func:`count_fence_extensions` counts it.
     """
     if variant not in ("A", "E", "S", "B"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 from shrubstat import (
     XPoly,
     build_adjacent_poset,
+    build_ibf_poset,
+    build_isf_poset,
+    build_lex_poset,
+    count_linear_extensions,
     enumerate_linear_extensions,
     enumerate_paths,
+    linext_seq,
     path_word,
     posets,
 )
@@ -374,6 +379,38 @@ def test_extensions_count_and_list(capsys):
     assert len(rows) == 16 and rows[0].count(",") == 5
     code, _, _ = run(capsys, "extensions", "--family", "A", "--n", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("family", ["A", "E", "S", "B"])
+def test_chain_families_count_without_the_down_set_dp(capsys, monkeypatch, family):
+    def no_dp(poset, **kwargs):
+        raise AssertionError("count_linear_extensions ran")
+
+    monkeypatch.setattr(posets, "count_linear_extensions", no_dp)
+    argv = ("extensions", "--family", family, "--n", "8", "--mode", "count")
+    code, out, err = run(capsys, *argv, "--force")
+    assert (code, out, err) == (0, f"{linext_seq('L' + family, 8)}\n", "")
+
+
+@pytest.mark.parametrize(
+    "family, build",
+    [("ISF", build_isf_poset), ("IBF", build_ibf_poset), ("L", build_lex_poset)],
+)
+def test_other_families_count_without_the_fence_dp(capsys, monkeypatch, family, build):
+    def no_fence(poset):
+        raise AssertionError("count_fence_extensions ran")
+
+    monkeypatch.setattr(posets, "count_fence_extensions", no_fence)
+    code, out, err = run(capsys, "extensions", "--family", family, "--n", "4")
+    assert (code, out, err) == (0, f"{count_linear_extensions(build(4))}\n", "")
+
+
+def test_chain_count_at_n_100_is_quick(capsys):
+    # the down-set DP would face about 2**302 down-sets
+    start = time.process_time()
+    code, out, _ = run(capsys, "extensions", "--family", "B", "--n", "100", "--force")
+    assert time.process_time() - start < 2
+    assert (code, out) == (0, f"{linext_seq('LB', 100)}\n")
 
 
 def test_extensions_guard(capsys):

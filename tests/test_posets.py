@@ -1,6 +1,7 @@
+import random
 import sys
 import time
-from itertools import permutations
+from itertools import pairwise, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from shrubstat import (
     build_ibf_poset,
     build_isf_poset,
     build_lex_poset,
+    count_fence_extensions,
     count_linear_extensions,
     enumerate_linear_extensions,
     forest_from_perm,
@@ -287,6 +289,52 @@ def test_adjacent_family_matches_recurrences():
         for variant, kind in (("A", "LA"), ("E", "LE"), ("S", "LS"), ("B", "LB")):
             got = count_linear_extensions(build_adjacent_poset(variant, n))
             assert got == linext_seq(kind, n), (variant, n)
+
+
+def test_fence_count_equals_the_down_set_dp_on_the_chain_families():
+    for variant in "AESB":
+        for n in range(9):
+            poset = build_adjacent_poset(variant, n)
+            want = count_linear_extensions(poset, max_size=poset.size)
+            assert count_fence_extensions(poset) == want, (variant, n)
+
+
+def test_fence_count_equals_the_down_set_dp_on_random_fences():
+    # a path of 2..12 elements, numbered at random, each cover either way
+    rng = random.Random(2201)
+    for _ in range(250):
+        size = rng.randint(2, 12)
+        order = rng.sample(range(size), size)
+        covers = [
+            (u, v) if rng.random() < 0.5 else (v, u) for u, v in pairwise(order)
+        ]
+        poset = Poset.from_covers(size, covers)
+        assert count_fence_extensions(poset) == count_linear_extensions(poset)
+
+
+def test_fence_count_equals_the_recurrences_to_n_120():
+    start = time.process_time()
+    for variant in "AESB":
+        for n in range(121):
+            got = count_fence_extensions(build_adjacent_poset(variant, n))
+            assert got == linext_seq("L" + variant, n), (variant, n)
+    assert time.process_time() - start < 5
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        build_isf_poset(3),
+        build_lex_poset(2),
+        antichain(3),
+        Poset.from_covers(4, [(0, 1), (2, 3)]),  # two disjoint 2-chains
+        Poset.from_covers(4, [(0, 1), (0, 2), (0, 3)]),  # a star: 0 on three covers
+        Poset.from_covers(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # 4 covers, no path
+    ],
+)
+def test_fence_count_refuses_a_poset_that_is_not_a_path(poset):
+    with pytest.raises(ValueError, match="not a path"):
+        count_fence_extensions(poset)
 
 
 def test_isf_poset_counts_and_words():

@@ -74,9 +74,9 @@ def _check_guard(args, n: int, limit: int) -> None:
 
 
 def _poset(family: str, n: int):
-    """The poset of the family at n.  Its size is checked against the
-    recursion limit before it is built, so a forced n too large for the
-    DP or the enumerator costs nothing."""
+    """The poset of the family at n.  Its size is checked before it is
+    built, by the size policy the DP and the enumerator share, so a forced
+    n past the recursion limit costs nothing."""
     from . import posets
 
     size = 3 * n + POSET_FAMILIES[family]
@@ -376,11 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11 caps str(int)
+    # Python >= 3.11 caps str(int): lift the cap for this run and restore
+    # it on every way out, parse_args's SystemExit too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
@@ -390,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: exact arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except RecursionError as exc:  # the enumerations and the DP recurse per element
+    except RecursionError as exc:  # check_size, or an enumerator's recursion
         print(f"error: n is too large for this command ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:  # an unguarded size (seq --count, ode-check --order, coeff --n)
@@ -401,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # correct; devnull keeps the exit-time flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,8 @@ DEFAULT_MAX_TRIPLES = 6
 
 #: Elements of a poset whose labelings are counted (keyword ``max_size``).
 #: The families at n = 7 have at most 23 elements (B: 29 681 down-sets);
-#: B at n = 8 has 26 elements and 110 771 down-sets, which the DP memoises.
+#: B at n = 8 has 26 elements and 110 771 down-sets, at most 12 291 of one
+#: size; the DP visits them level by level and holds two levels at once.
 #: The command line counts A, E, S and B by the fence DP instead, so the
 #: down-set DP counts only ISF, IBF and L there: at n = 8, 893, 9 841 and
 #: 285 down-sets.

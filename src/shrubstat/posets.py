@@ -2,13 +2,13 @@
 
 A labeling (linear extension) assigns {1..size} bijectively to the
 elements so that every cover (u, v) gets label(u) < label(v).  Counting
-runs a memoised dynamic program over down-sets keyed by bitmask: each
-step removes one maximal element, the maximal elements are carried down
-as a bitmask, and the memo is tested before recursing, so the recursion
-is as deep as the poset is large.  Before it runs, twins (elements with
-the same predecessors and the same successors) are chained in index
-order and the count multiplied back by k! per class of k, which is
-exact because swapping two twins maps labelings onto labelings.
+runs a dynamic program over down-sets keyed by bitmask, one level per
+element removed: each level removes every maximal element of each
+down-set of the level above, and only two levels are held.  Before it
+runs, twins (elements with the same predecessors and the same
+successors) are chained in index order and the count multiplied back by
+k! per class of k, which is exact because swapping two twins maps
+labelings onto labelings.
 Enumeration is intended for smaller posets.  It is one recursion, which
 gives the next label to an unplaced element none of whose predecessors
 is unplaced and stops once element 0 has its label and few enough
@@ -89,10 +89,12 @@ class Poset(Record):
 def check_size(size: int, max_size: int) -> None:
     """Refuse a poset of size elements past the guard max_size
     (GuardExceeded) or past the interpreter's recursion limit
-    (RecursionError), which the DP and the enumerator, recursing once per
-    element, would reach anyway.  Only the size is needed, so a caller
-    can refuse a poset before building it; the DP and the enumerator
-    refuse before building its cover masks (memory quadratic in size).
+    (RecursionError), which the enumerator, recursing once per element,
+    would reach anyway.  The DP does not recurse but keeps the same
+    refusal, so that one size policy covers both.  Only the size is
+    needed, so a caller can refuse a poset before building it; the DP
+    and the enumerator refuse before building its cover masks (memory
+    quadratic in size).
     """
     check_guard(size, max_size, "max_size", "elements in the poset")
     limit = sys.getrecursionlimit()
@@ -126,12 +128,14 @@ def count_linear_extensions(
 ) -> int:
     """Exact number of linear extensions, by DP over down-set bitmasks.
 
-    ways(D) = sum of ways(D - {v}) over the maximal elements v of the
-    down-set D.  Each call is handed those maximal elements as a bitmask,
-    so it never scans D for them; removing v leaves the others maximal
-    and makes maximal each predecessor of v whose successors have all
-    gone.  The memo is tested before the call, so each down-set is
-    entered once.
+    A labeling read from its largest label down removes one maximal
+    element at a time.  The DP runs level by level from the whole
+    poset: layer maps each down-set D of k elements to the number of
+    ways to remove the others, and the next layer adds that number to
+    D - {v} for each maximal v of each D, an element none of whose
+    successors is in D.  The count is the empty set's, after size
+    levels.  Only two levels are held at a time, and nothing recurses;
+    a poset past the recursion limit is still refused (:func:`check_size`).
 
     Twins are elements with the same immediate predecessors and
     successors.  They are incomparable (a chain from one to the other
@@ -146,16 +150,9 @@ def count_linear_extensions(
     successors is in it.  This cuts the down-sets only where twins
     exist: the two leaves of every IBF shrub are twins (9 841 down-sets
     instead of 87 381 at n = 8); the adjacent-chain families have none.
-
-    The recursion is one frame per removed element, as deep as the
-    poset is large: a poset beyond the interpreter's recursion limit
-    raises RecursionError before any work, which the CLI reports as a
-    usage error (exit 2).
     """
     check_size(poset.size, max_size)
     succs, preds = _cover_masks(poset)
-    if poset.size == 0:
-        return 1
     twins: dict[tuple[int, int], list[int]] = {}
     for v in range(poset.size):
         twins.setdefault((preds[v], succs[v]), []).append(v)
@@ -164,35 +161,19 @@ def count_linear_extensions(
         orders *= factorial(len(members))
         for u, v in pairwise(members):  # chain the class: x1 < ... < xk
             succs[u] |= 1 << v
-            preds[v] |= 1 << u
-    # per element v: (bit of u, successor mask of u) for each predecessor u
-    below = [
-        [(1 << u, succs[u]) for u in range(poset.size) if preds[v] >> u & 1]
-        for v in range(poset.size)
-    ]
-    memo = {0: 1}
-
-    def ways(mask: int, tops: int) -> int:
-        # tops: the maximal elements of the down-set mask
-        total = 0
-        m = tops
-        while m:
-            low = m & -m
-            m ^= low
-            rest = mask ^ low
-            count = memo.get(rest)
-            if count is None:
-                after = tops ^ low
-                for bit, s in below[low.bit_length() - 1]:
-                    if s & rest == 0:  # u's last successor was v
-                        after |= bit
-                count = ways(rest, after)
-            total += count
-        memo[mask] = total
-        return total
-
-    tops = sum(1 << v for v in range(poset.size) if not succs[v])
-    return orders * ways((1 << poset.size) - 1, tops)
+    layer = {(1 << poset.size) - 1: 1}  # down-set -> labelings of the rest
+    for _ in range(poset.size):
+        below: dict[int, int] = {}
+        for mask, count in layer.items():
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                if succs[low.bit_length() - 1] & mask == 0:  # maximal in mask
+                    rest = mask ^ low
+                    below[rest] = below.get(rest, 0) + count
+        layer = below
+    return orders * layer[0]
 
 
 def count_fence_extensions(poset: Poset) -> int:

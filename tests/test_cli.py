@@ -120,10 +120,38 @@ def test_seq_prints_terms_past_the_int_to_str_limit(capsys):
         code, out, err = run(capsys, "seq", "--name", "ITF", "--count", "15000")
         assert (code, err) == (0, "")
         last = out.rstrip("\n").rsplit(", ", 1)[-1]
+        if limit is not None:  # main has restored the limit; lift it to read back
+            sys.set_int_max_str_digits(0)
         assert len(last) == 4516 and int(last) == 2**15000
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"
+)
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("seq", "--name", "ITF", "--count", "3"), 0),
+        (("verify", "--stat", "ris", "--max-n", "5"), 2),  # the guard refuses
+        (("seq", "--name", "nope"), None),  # argparse exits
+    ],
+)
+def test_main_restores_the_int_to_str_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # not the default, so a reset shows too
+    try:
+        if code is None:
+            with pytest.raises(SystemExit) as exit_info:
+                main(list(argv))
+            assert exit_info.value.code == 2
+        else:
+            assert run(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_pass(capsys):

@@ -191,6 +191,25 @@ def test_planted_twins_are_counted_exactly(poset, data):
     assert count_linear_extensions(planted) == brute
 
 
+def test_count_from_a_nearly_full_stack():
+    # the DP nests no frame per element: a 20-element chain counts with
+    # about 12 frames left below the recursion limit
+    poset = chain(20)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+
+    def count_at(left):  # left: the frames below the limit
+        return count_linear_extensions(poset) if left <= 12 else count_at(left - 1)
+
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert count_at(59) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_ibf_poset_counts_past_brute_force():
     # every shrub's two leaves are twins
     for n in (5, 6, 7, 8):

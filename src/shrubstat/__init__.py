@@ -1,8 +1,8 @@
 """Exact rise-statistic distributions over forests of binary shrubs.
 
-Everything is computed in exact arithmetic (big integers and rationals)
-and every closed formula is cross-checkable against brute-force
-enumeration oracles shipped in the same package.
+Everything is computed in exact big-integer arithmetic, where a quotient
+that is not an integer raises, and every closed formula is cross-checkable
+against brute-force enumeration oracles shipped in the same package.
 
 The public names below are loaded on first use (PEP 562), so importing
 the package, or one of its modules, does not import every layer.

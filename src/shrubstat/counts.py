@@ -34,7 +34,7 @@ import threading
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .names import LINEXT_KINDS
+from .names import LINEXT_KINDS, exact_quotient
 
 if TYPE_CHECKING:  # imported where used: `seq` runs no polynomial code
     from .polynomial import XPoly
@@ -54,22 +54,16 @@ def ibf(n: int) -> int:
     """Root-increasing chains of n shrubs: (3n)!/(3**n n!)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    value, rem = divmod(factorial(3 * n), 3**n * factorial(n))
-    if rem:
-        raise ArithmeticError(f"IBF({n}) is not an integer")
-    return value
+    return exact_quotient(factorial(3 * n), 3**n * factorial(n), f"IBF({n})")
 
 
 def ilf(n: int) -> int:
     """Componentwise-increasing chains: 4**n (3n)!/((n+1)!(2n+1)!)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    value, rem = divmod(
-        4**n * factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1)
+    return exact_quotient(
+        4**n * factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1), f"ILF({n})"
     )
-    if rem:
-        raise ArithmeticError(f"ILF({n}) is not an integer")
-    return value
 
 
 def linext_seq(kind: str, n: int) -> int:
@@ -108,6 +102,7 @@ def _binomial_row(top: int) -> list[int]:
     """C(top, 0), ..., C(top, top), each from the one before it."""
     row = [1]
     for i in range(1, top + 1):
+        # Exact without a check: C(t, i-1) (t-i+1) = i C(t, i).
         row.append(row[-1] * (top - i + 1) // i)
     return row
 

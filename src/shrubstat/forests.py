@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Sequence
 
-from .names import DEFAULT_MAX_SHRUBS, RiseKind, check_guard
+from .names import DEFAULT_MAX_SHRUBS, RiseKind, check_guard, exact_quotient
 from .polynomial import XPoly
 from .record import Record
 
@@ -158,10 +158,7 @@ def rise_stat(kind: RiseKind | str, forest: Forest) -> int:
 
 def forest_count(n: int) -> int:
     """|forests of n shrubs| = (3n)!/3**n (confirmed by brute count, n <= 3)."""
-    count, rem = divmod(factorial(3 * n), 3**n)
-    if rem:
-        raise ArithmeticError(f"(3n)!/3**n is not an integer at n={n}")
-    return count
+    return exact_quotient(factorial(3 * n), 3**n, f"(3n)!/3**n at n={n}")
 
 
 def _check_shrubs(n: int, max_shrubs: int) -> None:

@@ -1,10 +1,12 @@
-"""Names, default sizes and the guard that the command-line parser and the
-layers share.
+"""Names, default sizes and the two refusals that the command-line parser
+and the layers share.
 
 The parser builds its choices and defaults from this module alone, so a
-command loads only the layers it runs.  The one refusal,
-:func:`check_guard`, sits beside the four limits it enforces.  Nothing here
-imports from the package; each layer re-exports the names it owns.
+command loads only the layers it runs.  The guard, :func:`check_guard`,
+sits beside the four limits it enforces; the exactness check,
+:func:`exact_quotient`, is the one test that a division which must come
+out whole does.  Nothing here imports from the package; each layer
+re-exports the names it owns.
 """
 
 from enum import Enum
@@ -85,3 +87,12 @@ def check_guard(size: int, limit: int, keyword: str, what: str) -> None:
     keyword setting that would allow it."""
     if size > limit:
         raise GuardExceeded(f"{size} {what}; pass {keyword}={size} to allow it")
+
+
+def exact_quotient(a: int, b: int, what: str) -> int:
+    """The quotient a / b, which must be an integer: ArithmeticError
+    naming what otherwise."""
+    value, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer")
+    return value

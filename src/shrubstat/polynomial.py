@@ -1,7 +1,11 @@
-"""Dense polynomials in x with exact rational coefficients.
+"""Dense polynomials in x with exact coefficients.
 
-Coefficients are Python ints or `fractions.Fraction`; nothing is ever
-rounded.  Trailing zeros are stripped, so equality is structural.
+The package's own arithmetic is over Python ints; a `fractions.Fraction`
+enters only with a caller's coefficients, which are accepted and
+normalised (a whole one becomes an int).  Nothing is ever rounded, and
+exact division means an integer quotient: :meth:`XPoly.divexact` raises
+ArithmeticError where a coefficient would turn fractional.  Trailing
+zeros are stripped, so equality is structural.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence, Union
+
+from .names import exact_quotient
 
 Scalar = Union[int, Fraction]
 
@@ -133,7 +139,9 @@ class XPoly:
         return _norm(acc)
 
     def divexact(self, divisor: "XPoly") -> "XPoly":
-        """Exact quotient self / divisor; ArithmeticError if it does not divide."""
+        """Exact quotient self / divisor: each coefficient of the quotient is
+        an integer quotient, and ArithmeticError is raised where one is not
+        or where a remainder is left.  It builds no Fraction."""
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if divisor._coeffs == (1,):
@@ -142,13 +150,12 @@ class XPoly:
             return XPoly()
         rem = list(self._coeffs)
         div = divisor._coeffs
-        lead = Fraction(div[-1])
         dq = len(rem) - len(div)
         if dq < 0:
             raise ArithmeticError("polynomial division is not exact")
         out = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            q = _norm(Fraction(rem[k + len(div) - 1]) / lead)
+            q = exact_quotient(rem[k + len(div) - 1], div[-1], "polynomial quotient")
             out[k] = q
             if q != 0:
                 for j, d in enumerate(div):

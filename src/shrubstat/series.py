@@ -8,7 +8,7 @@ Multiplication is the binomial convolution
 
 computed by :func:`polynomial.egf_coeff`.  Quotients and exponentials
 solve the same convolution for one coefficient at a time (b' = a'b for
-the exponential), all over exact rationals; a reciprocal is the
+the exponential), all over big integers; a reciprocal is the
 quotient of one by the series (:meth:`EgfSeries.divexact` of one).
 
 The builders return the distribution generating functions for the five
@@ -25,12 +25,11 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
 from .counts import iaf, ibf, ilf, itf, within_rise_poly
-from .names import DEFAULT_SHRUBS, MIN_RISE, RiseKind
+from .names import DEFAULT_SHRUBS, MIN_RISE, RiseKind, exact_quotient
 from .polynomial import Scalar, XPoly, _coerce, egf_coeff
 from .record import Record
 
@@ -114,9 +113,10 @@ class EgfSeries(Record):
         """Quotient q with denominator * q = self, dividing polynomials exactly.
 
         Any nonzero leading polynomial is allowed, at the price of
-        requiring every step's polynomial division to be exact
-        (ArithmeticError otherwise); :meth:`reciprocal` is the case of
-        a numerator of one and a leading polynomial of 1.
+        requiring every step's quotient to be an integer polynomial
+        (ArithmeticError otherwise, so dividing one by the constant 2
+        raises); :meth:`reciprocal` is the case of a numerator of one and
+        a leading polynomial of 1.
         """
         self._check_order(denominator)
         d = denominator.coeffs
@@ -256,9 +256,12 @@ def closed_form_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF
         def term(n: int, power: XPoly) -> XPoly:
             if kind is RiseKind.TOTAL:  # (2(x-1)t^3)^n / (3n)!
                 return 2**n * power * _X_MINUS_ONE
-            # (4(x-1)t^3)^n / ((n+1)!(2n+1)!)
-            scale = Fraction(factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1))
-            return 4**n * scale * power * _X_MINUS_ONE
+            # (4(x-1)t^3)^n / ((n+1)!(2n+1)!), times (3n)! for the
+            # t^(3n)/(3n)! basis: an integer scale at every n
+            top = 4**n * factorial(3 * n)
+            bottom = factorial(n + 1) * factorial(2 * n + 1)
+            scale = exact_quotient(top, bottom, f"the risL term at n={n}")
+            return scale * power * _X_MINUS_ONE
 
         denominator = _shrub_series(shrubs, _ONE_MINUS_X, term)
     numerator = EgfSeries(denominator.order, {0: _ONE_MINUS_X})

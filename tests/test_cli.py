@@ -374,6 +374,16 @@ def test_arithmetic_error_exits_1(capsys, monkeypatch):
     assert err.startswith("error: ") and "IBF(1)" in err
 
 
+def test_ilf_arithmetic_error_exits_1(capsys, monkeypatch):
+    from shrubstat import counts
+
+    # with factorial(m) = m + 1, ILF(1) reads 4 * 4 / (3 * 4), which leaves 4
+    monkeypatch.setattr(counts, "factorial", lambda m: m + 1)
+    code, out, err = run(capsys, "seq", "--name", "ILF", "--count", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "ILF(1)" in err
+
+
 def test_bijection(capsys):
     code, out, _ = run(capsys, "bijection", "--n", "2", "--format", "json")
     assert code == 0

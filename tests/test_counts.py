@@ -22,8 +22,16 @@ from shrubstat import (
 )
 from shrubstat import counts
 from shrubstat.counts import adjacent_chain_egfs, lb_ode_series
+from shrubstat.names import exact_quotient
 
 from golden import SEQ_GOLDEN
+
+
+def test_exact_quotient():
+    assert exact_quotient(6, 3, "x") == 2 and type(exact_quotient(6, 3, "x")) is int
+    assert exact_quotient(-6, 3, "x") == -2
+    with pytest.raises(ArithmeticError, match="^x is not an integer$"):
+        exact_quotient(7, 2, "x")
 
 
 def test_itf():

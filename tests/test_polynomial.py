@@ -81,6 +81,11 @@ def test_divexact():
         x.divexact(XPoly.zero())
 
 
+def test_divexact_raises_on_a_fractional_quotient():
+    with pytest.raises(ArithmeticError):
+        XPoly((1,)).divexact(XPoly((2,)))
+
+
 def test_int_coeffs():
     assert XPoly((1, 2)).int_coeffs() == (1, 2)
     with pytest.raises(ArithmeticError):

@@ -107,6 +107,11 @@ def test_divexact_inverts_multiplication():
         EgfSeries.one(2).divexact(EgfSeries(2, {0: XPoly((0, 1))}))
 
 
+def test_divexact_raises_on_a_fractional_quotient():
+    with pytest.raises(ArithmeticError):
+        EgfSeries.one(3).divexact(EgfSeries(3, {0: 2}))
+
+
 def test_golden_coefficients_spot_checks():
     assert rise_gf("ris", 2).coeff(1) == XPoly((0, 1, 1))
     assert rise_gf("risB", 2).coeff(2) == XPoly((40, 40))

@@ -1,8 +1,9 @@
 """Command-line surface: ``shrubstat <command> [flags]``.
 
 Commands: coeff, seq, verify, paths, bijection, extensions, ode-check.
-Every command is deterministic and offers text, JSON and CSV output;
-all big integers are serialized as decimal strings (never floats).
+Every command is deterministic and takes ``--format`` for text, JSON or
+CSV output; all big integers are serialized as decimal strings (never
+floats).
 
 The stable JSON schema is::
 
@@ -15,7 +16,8 @@ where params are the command's parsed arguments (``--max-n`` as
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
 A reader that closes the output pipe early (``| head``) ends the command
 quietly with exit 0.
-Each guarded command refuses an n past the largest that the library's
+The four guarded commands (verify, paths, bijection, extensions) also
+take ``--force``.  Each refuses an n past the largest that the library's
 default limits (:mod:`shrubstat.names`) allow it, before it builds
 anything; the environment variable ``SHRUBSTAT_MAX_N`` replaces that
 bound on n, and ``--force`` lifts it for one invocation.
@@ -50,6 +52,9 @@ from .names import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+#: The commands that refuse an n past their guard unless given --force.
+_GUARDED = ("verify", "paths", "bijection", "extensions")
 
 #: Sequences indexed from n = 1; each is the `counts` function of the
 #: same name in lower case.
@@ -297,21 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default="text",
-            help="output format (default: text)",
-        )
-
-    def add_force(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="raise the desk-scale enumeration guard for this run",
-        )
-
     p = sub.add_parser("coeff", help="one series coefficient polynomial")
     p.add_argument("--stat", choices=GF_STATS, required=True)
     p.add_argument("--n", type=int, required=True, help="number of shrubs")
@@ -319,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=DEFAULT_SHRUBS,
-        help="truncation order in shrub units (default: 6)",
+        help="truncation order in shrub units (default: %(default)s)",
     )
-    add_format(p)
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("seq", help="terms of a counting sequence")
@@ -331,37 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--count", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", help="series coefficients vs. brute force")
     p.add_argument("--stat", choices=GF_STATS, required=True)
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    add_format(p)
-    add_force(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("paths", help="first-quadrant walks")
     p.add_argument("--n", type=int, required=True, help="number of step triples")
     p.add_argument("--list", action="store_true", help="list walks, not count them")
-    add_format(p)
-    add_force(p)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser(
         "bijection", help="walks vs. grid-poset labelings, round-tripped"
     )
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    add_force(p)
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("extensions", help="linear extensions of a poset family")
     p.add_argument("--family", choices=tuple(POSET_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("count", "list"), default="count")
-    add_format(p)
-    add_force(p)
     p.set_defaults(func=cmd_extensions)
 
     p = sub.add_parser(
@@ -369,8 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential-equation residuals of the chain-count series",
     )
     p.add_argument("--order", type=int, default=20)
-    add_format(p)
     p.set_defaults(func=cmd_ode_check)
+
+    # the options every command shares, after each command's own
+    for name, p in sub.choices.items():
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default="text",
+            help="output format (default: %(default)s)",
+        )
+        if name in _GUARDED:
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help="raise the desk-scale enumeration guard for this run",
+            )
 
     return parser
 

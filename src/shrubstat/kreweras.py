@@ -9,8 +9,9 @@ Such walks biject with the linear extensions of the three-row grid
 poset (see :func:`shrubstat.posets.build_lex_poset`): reading labels
 1..3n in order, label i sits in the middle row exactly when step i is
 northeast, in the top row when it is west, and in the bottom row when
-it is south.  Both directions are implemented and verified against
-each other exhaustively in the tests.
+it is south.  The table ``_ROWS`` states this rule once, and both
+directions read it; they are verified against each other exhaustively
+in the tests.
 """
 
 from __future__ import annotations
@@ -177,17 +178,14 @@ class RowLabeling(Record):
         return len(self.middle)
 
 
+#: The bijection's rule: step i of a walk puts label i in the row named here.
+_ROWS = {Step.NE: "middle", Step.W: "top", Step.S: "bottom"}
+
+
 def path_from_rows(rows: RowLabeling) -> Path:
     """Walk whose i-th step reads off the row containing label i."""
-    n = rows.size
-    row_of = {}
-    for label in rows.middle:
-        row_of[label] = Step.NE
-    for label in rows.top:
-        row_of[label] = Step.W
-    for label in rows.bottom:
-        row_of[label] = Step.S
-    path = tuple(row_of[i] for i in range(1, 3 * n + 1))
+    row_of = {i: step for step, row in _ROWS.items() for i in getattr(rows, row)}
+    path = tuple(row_of[i] for i in range(1, 3 * rows.size + 1))
     if not is_valid_path(path):
         raise ArithmeticError(f"rows read off an invalid walk: {path_word(path)}")
     return path
@@ -197,12 +195,10 @@ def rows_from_path(path: Sequence[Step]) -> RowLabeling:
     """Inverse reading: label i goes to the row named by step i."""
     if not is_valid_path(path):
         raise ValueError("not a closed first-quadrant walk")
-    top: list[int] = []
-    middle: list[int] = []
-    bottom: list[int] = []
+    rows: dict[str, list[int]] = {row: [] for row in _ROWS.values()}
     for i, step in enumerate(path, start=1):
-        {Step.W: top, Step.NE: middle, Step.S: bottom}[Step(step)].append(i)
-    return RowLabeling(tuple(top), tuple(middle), tuple(bottom))
+        rows[_ROWS[Step(step)]].append(i)
+    return RowLabeling(**{row: tuple(labels) for row, labels in rows.items()})
 
 
 def rows_from_extension(labels: Sequence[int]) -> RowLabeling:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,45 @@ def test_coeff_unknown_stat_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["coeff", "--stat", "bogus", "--n", "1"])
     assert exc.value.code == 2
+
+
+#: sha256 of the help text, at 80 columns, of the top parser ("") and of
+#: each command: the whole grammar, its options, their order and help.
+_HELP_SHA256 = {
+    "": "3117027df16c721450fc322d11bd8515566a05046d2010dddd9c88e68a371aef",
+    "coeff": "4b6c458371cb7aa625cf4ad838a39c62969add1c6d49985d9c2807524c8c160a",
+    "seq": "b711c39a0f334f8cb77e5e53f62396aee4d9c1c8a4cef231427874eefd214dba",
+    "verify": "eb05e1bd15c90a3c6f5fc8d0523bf568c6806cce05190a7a0a2bb74ef99464f4",
+    "paths": "da4c1fb645603f36ea0983ed805994c8fca66f2acbc8f4f056c7164acadd59f5",
+    "bijection": "a1d7905322f52f31af283d1a95ebb3d5d6464673500214037107edbfa0c0b0a5",
+    "extensions": "922f5c4677141aa15b3616d032aad68f11b39f34f34f56b48248146bc2f62828",
+    "ode-check": "a500fb0e784bba7bff984e4cc0dfb5f95ef790bdb1a397c06f69bd8addc708b4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_SHA256))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[command], out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeff", "--stat", "ris", "--n", "2"),
+        ("seq", "--name", "LA", "--count", "3"),
+        ("ode-check",),
+    ],
+)
+def test_unguarded_commands_refuse_force(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_seq(capsys):

@@ -18,8 +18,10 @@ successors minimal.  Streamed from the whole poset, it gives the heads
 of the labelings, stopping at ``_TAIL_LABELS`` elements; cached per
 unplaced set (an up-set without element 0), run to the end, it gives the
 table of completions that finishes them.  Each labeling is held as one
-int (a fixed-width field per element) until it is yielded.  Counting and
-enumeration refuse a cover relation with a cycle, which
+int (a fixed-width field per element) until it is yielded, and the
+labelings are sorted one bucket at a time, a bucket being those that
+give elements 0 and 1 the same two labels.  Counting and enumeration
+refuse a cover relation with a cycle, which
 :class:`graphlib.TopologicalSorter` detects.
 
 A fence, a poset whose Hasse diagram is a path, has a faster count: an
@@ -53,10 +55,11 @@ from .names import DEFAULT_MAX_COUNT_SIZE, DEFAULT_MAX_ENUM_SIZE, check_guard
 from .record import Record
 
 #: Labels each labeling takes from the table of completions rather than
-#: by backtracking.  For A at n = 4, any value from 4 to 8 took 0.45 to
-#: 0.6 s against 2.0 s for backtracking every label, with no winner
-#: beyond the noise; the peak RSS grew from 6 on: 2.3 MB more at 7 and
-#: 7.9 MB more at 8.
+#: by backtracking.  Draining A at n = 4 in one process, 5 to 7 took 0.31
+#: to 0.36 s of CPU, 4 and 8 took 0.42 to 0.55 s, and backtracking every
+#: label took 2.7 to 3.3 s; the peak RSS was least at 6, 15.5 MB, and
+#: 0.3 to 2.0 MB more at 4, 5, 7 and 8 (three runs each, Xeon, Python
+#: 3.11.7).
 _TAIL_LABELS = 6
 
 
@@ -217,32 +220,37 @@ def enumerate_linear_extensions(
     """Yield every labeling once, sorted lexicographically as label words.
 
     A labeling is the tuple (label of element 0, ..., label of element
-    size-1).  The labelings are produced one bucket at a time: bucket a
-    holds those that give element 0 the label a, and every labeling in
-    it sorts before those of bucket a+1, so only one bucket is ever
-    held and sorted.
+    size-1).  The labelings are produced one bucket at a time: bucket
+    (a, b) holds those that give element 0 the label a and element 1 the
+    label b, and every labeling in it sorts before those of any later
+    pair, so only one bucket is ever held and sorted.
 
     One recursive generator places the labels: with rest the unplaced
     elements, the next label, size + 1 - |rest|, goes to an element of
     rest with no predecessor in rest, and to element 0 only when it is
-    the bucket's label.  It tests only its candidates, a bitmask that
+    the pinned label a.  It tests only its candidates, a bitmask that
     holds every such element and perhaps more: placing v leaves the
     candidates but v plus v's successors, the only elements that can
     have lost their last unplaced predecessor.  So a label costs a test
     per candidate, not one per element of rest, and a long chain beside
     a free element is not rescanned at every label.  It yields each
     (code, rest) once element 0 has its label and at most keep elements
-    are unplaced.  A bucket streams it from the whole poset, with the
-    elements that have no predecessor as candidates and keep = T =
-    _TAIL_LABELS, for the heads of its labelings.  Each head is
+    are unplaced.  Each label a streams it once from the whole poset,
+    with the elements that have no predecessor as candidates and keep =
+    T = _TAIL_LABELS, for the heads of its labelings.  Each head is
     finished from a table of completions, filled on first use and kept
-    for every bucket: the same generator run with keep = 0 from the
-    head's unplaced set, all of it candidates, cached by that set.  The
-    set is an up-set without element 0, so every completion agrees with
-    the bucket's pin.  A labeling is held as one int with a fixed-width
-    field per element, element 0 in the most significant field, so a
-    labeling is its head's int or'ed with a completion's, and int order
-    is the order of label words.
+    for every a: the same generator run with keep = 0 from the head's
+    unplaced set, all of it candidates, cached by that set.  The set is
+    an up-set without element 0, so every completion agrees with the
+    pin.  A labeling is held as one int with a fixed-width field per
+    element, element 0 in the most significant field and element 1 in
+    the next, so a labeling is its head's int or'ed with a completion's,
+    and int order is the order of label words.  A table entry splits
+    its completions by the label they give element 1, into one part
+    (keyed 0) when the head has placed element 1 already.  The heads of
+    one a are held and grouped by element 1's label b, which the head's
+    int or a part's key supplies: each head joins the group of every
+    part of its entry, with that part's completions.
 
     The head nests one generator frame per label it places, and a table
     entry, filled beside the head rather than beneath it, at most T, so
@@ -254,8 +262,8 @@ def enumerate_linear_extensions(
     check_size(poset.size, max_size)
     succs, preds = _cover_masks(poset)
     size = poset.size
-    if size == 0:
-        yield ()
+    if size <= 1:
+        yield tuple(range(1, size + 1))  # () or (1,)
         return
     fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
     nbytes = struct.calcsize(fmt)
@@ -281,21 +289,32 @@ def enumerate_linear_extensions(
                 for prefix, left in labelings(rest ^ low, after, keep, pinned):
                     yield code | prefix, left
 
-    # unplaced up-set without element 0 -> the codes of its completions;
+    # unplaced up-set without element 0 -> the codes of its completions,
+    # split by the label they give element 1 (0 if it is placed already);
     # no label is 0, so nothing is pinned
     @cache
-    def completions(rest: int) -> list[int]:
-        return [code for code, _ in labelings(rest, rest, 0, 0)]
+    def completions(rest: int) -> dict[int, list[int]]:
+        split: dict[int, list[int]] = {}
+        for code, _ in labelings(rest, rest, 0, 0):
+            split.setdefault(code >> shifts[1], []).append(code)
+        return split
 
     decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
     sources = sum(1 << v for v in range(size) if not preds[v])
     for pinned in range(1, size + 1):
-        bucket: list[int] = []
+        # the labels of elements 0 and 1 -> the heads with their completions
+        groups: dict[int, list[tuple[int, list[int]]]] = {}
         for prefix, rest in labelings((1 << size) - 1, sources, _TAIL_LABELS, pinned):
-            bucket.extend(map(prefix.__or__, completions(rest)))
-        bucket.sort()
-        words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
-        yield from map(decode, words)
+            top = prefix >> shifts[1]  # element 0's label, and 1's if placed
+            for second, codes in completions(rest).items():
+                groups.setdefault(top | second, []).append((prefix, codes))
+        for key in sorted(groups):
+            bucket: list[int] = []
+            for prefix, codes in groups.pop(key):
+                bucket.extend(map(prefix.__or__, codes))
+            bucket.sort()
+            words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
+            yield from map(decode, words)
 
 
 def _shrub_covers(n: int, links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:

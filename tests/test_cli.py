@@ -146,6 +146,10 @@ def test_seq(capsys):
     assert code == 2
 
 
+def test_seq_count_1_prints_one_term(capsys):
+    assert run(capsys, "seq", "--name", "IBF", "--count", "1") == (0, "2\n", "")
+
+
 def test_seq_big_terms_are_decimal_strings(capsys):
     code, out, _ = run(capsys, "seq", "--name", "LB", "--count", "11", "--format", "json")
     record = json.loads(out)
@@ -505,6 +509,14 @@ def test_ode_check(capsys):
     assert "series-vs-recurrence  ok" in out
     code, _, _ = run(capsys, "ode-check", "--order", "0")
     assert code == 2
+
+
+def test_ode_check_at_order_1(capsys):
+    code, out, _ = run(capsys, "ode-check", "--order", "1")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[0] for row in rows] == ["A", "E", "S", "B", "series-vs-recurrence"]
+    assert [row[-1] for row in rows] == ["zero"] * 4 + ["ok"]
 
 
 @pytest.mark.parametrize(

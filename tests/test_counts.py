@@ -153,6 +153,10 @@ def test_ode_residuals_vanish():
         assert all(v == 0 for v in values)
 
 
+def test_ode_residuals_at_order_1():
+    assert ode_residuals(1) == {"A": [0], "E": [0], "S": [0], "B": [0]}
+
+
 def test_adjacent_chain_egfs_support():
     series = adjacent_chain_egfs(11)
     assert series["LA"][0] == 1 and series["LA"][3] == 2 and series["LA"][6] == 40

@@ -115,6 +115,14 @@ def test_within_shrub_rises():
     assert dist == [1, 2]
 
 
+def test_equal_neighbours_are_not_rises():
+    # the words need not be permutations; a tie is no ascent
+    assert rises((1, 1)) == 0
+    assert rises((2, 2, 3)) == 1
+    # (1, 1) inside the shrub, then 1 < 2; 2 < 5 crosses the boundary
+    assert within_shrub_rises((1, 1, 2, 5, 5, 5)) == 1
+
+
 def test_shrub_less():
     assert not shrub_less(RiseKind.LEX, Shrub(1, 4, 10), Shrub(7, 11, 8))
     assert shrub_less(RiseKind.ADJACENT, Shrub(5, 12, 9), Shrub(6, 13, 15))

@@ -1,7 +1,9 @@
 import random
 import sys
 import time
+import tracemalloc
 from itertools import pairwise, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,18 @@ def test_poset_validation():
         Poset.from_covers(2, [(1, 1)])
     with pytest.raises(ValueError):
         Poset.from_covers(-1, [])
+
+
+def test_a_cover_from_element_size_is_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        Poset.from_covers(2, [(2, 0)])
+
+
+def test_check_size_accepts_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    posets.check_size(limit, limit)
+    with pytest.raises(RecursionError):
+        posets.check_size(limit + 1, limit + 1)
 
 
 def test_cycle_detection():
@@ -231,6 +245,53 @@ def test_enumeration_at_the_field_width_switch(size):
     labels = range(1, size + 1)
     expected = [(a, *(label for label in labels if label != a)) for a in labels]
     assert list(enumerate_linear_extensions(poset, max_size=size)) == expected
+
+
+@pytest.mark.parametrize("size, fmt", [(65_535, "H"), (65_536, "I")])
+def test_field_width_of_a_label(monkeypatch, size, fmt):
+    # a poset this large cannot be enumerated (the recursion-limit check
+    # refuses it first), so the enumerator is stopped where it sizes a
+    # label's field
+    class Sized(Exception):
+        pass
+
+    def calcsize(chosen):
+        raise Sized(chosen)
+
+    monkeypatch.setattr(posets, "check_size", lambda size, max_size: None)
+    monkeypatch.setattr(posets, "_cover_masks", lambda p: ([0] * p.size,) * 2)
+    monkeypatch.setattr(posets, "struct", SimpleNamespace(calcsize=calcsize))
+    with pytest.raises(Sized) as sized:
+        next(enumerate_linear_extensions(antichain(size)))
+    assert sized.value.args == (fmt,)
+
+
+def test_draining_holds_one_bucket_per_labels_of_elements_0_and_1():
+    # B at n = 3 has 74 601 labelings, at most 4 293 in a bucket keyed
+    # by the labels of elements 0 and 1 (a traced peak of about 0.4 MB)
+    # but 21 465 with element 0's label alone (about 1.1 MB)
+    poset = build_adjacent_poset("B", 3)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_linear_extensions(poset))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 74_601
+    assert peak < 600_000
+
+
+def test_a_bucket_mixes_heads_with_and_without_element_1():
+    # the head stops after two labels: with element 0 at label 1, label 2
+    # goes to element 1 in some heads and to elements 2, 5 or 7 in
+    # others, which leave element 1 to the table of completions
+    poset = Poset.from_covers(_TAIL_LABELS + 2, [(2, 3), (3, 4), (5, 6)])
+    brute = [
+        p
+        for p in permutations(range(1, poset.size + 1))
+        if poset.check_labeling(p)
+    ]
+    assert list(enumerate_linear_extensions(poset)) == brute
 
 
 def test_free_plus_chain_drains_in_quadratic_time():

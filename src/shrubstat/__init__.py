@@ -63,6 +63,7 @@ _EXPORTS = {
         "build_lex_poset",
         "count_fence_extensions",
         "count_linear_extensions",
+        "count_tree_extensions",
         "enumerate_linear_extensions",
     ),
     "series": (

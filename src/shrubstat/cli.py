@@ -266,8 +266,8 @@ def cmd_extensions(args) -> int:
     # the largest n whose 3n + extra elements are at most size
     _check_guard(args, args.n, (size - POSET_FAMILIES[args.family]) // 3)
     poset = _poset(args.family, args.n)
-    if args.mode == "count" and args.family in ("A", "E", "S", "B"):  # fences
-        payload = [str(posets.count_fence_extensions(poset))]
+    if args.mode == "count" and args.family != "L":  # L is the one non-tree
+        payload = [str(posets.count_tree_extensions(poset))]
     elif args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
     else:

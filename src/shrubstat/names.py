@@ -53,9 +53,10 @@ DEFAULT_MAX_TRIPLES = 6
 #: The families at n = 7 have at most 23 elements (B: 29 681 down-sets);
 #: B at n = 8 has 26 elements and 110 771 down-sets, at most 12 291 of one
 #: size; the DP visits them level by level and holds two levels at once.
-#: The command line counts A, E, S and B by the fence DP instead, so the
-#: down-set DP counts only ISF, IBF and L there: at n = 8, 893, 9 841 and
-#: 285 down-sets.
+#: The command line counts the six families whose Hasse diagrams are
+#: trees (A, E, S, B, ISF and IBF) by the tree DP instead, so the
+#: down-set DP counts only L there: 285 down-sets at n = 8.  Through the
+#: library, IBF at n = 8 has 87 381 and ISF 1 021.
 DEFAULT_MAX_COUNT_SIZE = 24
 
 #: Elements of a poset whose labelings are listed (keyword ``max_size``).

@@ -4,11 +4,7 @@ A labeling (linear extension) assigns {1..size} bijectively to the
 elements so that every cover (u, v) gets label(u) < label(v).  Counting
 runs a dynamic program over down-sets keyed by bitmask, one level per
 element removed: each level removes every maximal element of each
-down-set of the level above, and only two levels are held.  Before it
-runs, twins (elements with the same predecessors and the same
-successors) are chained in index order and the count multiplied back by
-k! per class of k, which is exact because swapping two twins maps
-labelings onto labelings.
+down-set of the level above, and only two levels are held.
 Enumeration is intended for smaller posets.  It is one recursion, which
 gives the next label to an unplaced element none of whose predecessors
 is unplaced and stops once element 0 has its label and few enough
@@ -24,14 +20,18 @@ give elements 0 and 1 the same two labels.  Counting and enumeration
 refuse a cover relation with a cycle, which
 :class:`graphlib.TopologicalSorter` detects.
 
-A fence, a poset whose Hasse diagram is a path, has a faster count: an
-up/down DP along the path, in O(size²) additions.  The four
-adjacent-chain families are fences: each shrub's root sits between its
-two leaves, and each right leaf lies below the next left leaf, so the
-path runs L₀ > r₀ < R₀ < L₁ > r₁ < R₁ < ..., with S's cap below L₀ and
-E's above the last R.  The command line counts them this way and keeps
-the down-set DP for the others, whose diagrams branch; the DP stays the
-oracle the fence count is tested against.
+A poset whose Hasse diagram is a tree has a faster count, Atkinson's
+DP, which merges the tables of subtrees in O(size²) products.  Six of
+the seven families are trees.  ISF and IBF have 3n - 1 covers and are
+connected.  The four adjacent-chain families are fences, trees that are
+paths: each shrub's root sits between its two leaves, and each right
+leaf lies below the next left leaf, so the path runs
+L₀ > r₀ < R₀ < L₁ > r₁ < R₁ < ..., with S's cap below L₀ and E's above
+the last R.  Rooted at one end, a fence is walked with the DP's
+one-element step alone, an up/down walk in O(size²) additions.  The
+command line counts the six trees this way and keeps the down-set DP
+for the grid poset L, whose diagram has cycles; the down-set DP stays
+the oracle the tree count is tested against.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -45,10 +45,12 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections import Counter
+from contextlib import suppress
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, pairwise, repeat
-from math import factorial
+from itertools import accumulate, chain, islice, repeat
+from math import comb
 from typing import Iterable, Iterator
 
 from .names import DEFAULT_MAX_COUNT_SIZE, DEFAULT_MAX_ENUM_SIZE, check_guard
@@ -140,30 +142,14 @@ def count_linear_extensions(
     levels.  Only two levels are held at a time, and nothing recurses;
     a poset past the recursion limit is still refused (:func:`check_size`).
 
-    Twins are elements with the same immediate predecessors and
-    successors.  They are incomparable (a chain from one to the other
-    would pass through a successor both share, a cycle), and swapping
-    two of them maps the cover relation onto itself, so it maps
-    labelings onto labelings.  The k! orders of a class of k twins
-    therefore occur equally often: the DP counts the labelings that
-    order each class by index, with the class chained x1 < ... < xk,
-    and the result is that count times the product of the k!.  The
-    chain links are covers the DP adds, and the DP stays exact with
-    them: an element is maximal in a down-set exactly when none of its
-    successors is in it.  This cuts the down-sets only where twins
-    exist: the two leaves of every IBF shrub are twins (9 841 down-sets
-    instead of 87 381 at n = 8); the adjacent-chain families have none.
+    The work grows with the number of down-sets, which is exponential
+    in the width of the poset: IBF at n = 8 has 87 381, L 285.  A poset
+    whose Hasse diagram is a tree, as six of the seven families' are,
+    counts in O(size²) by :func:`count_tree_extensions` instead; this DP
+    is the oracle it is tested against.
     """
     check_size(poset.size, max_size)
-    succs, preds = _cover_masks(poset)
-    twins: dict[tuple[int, int], list[int]] = {}
-    for v in range(poset.size):
-        twins.setdefault((preds[v], succs[v]), []).append(v)
-    orders = 1  # the orderings of every twin class among themselves
-    for members in twins.values():
-        orders *= factorial(len(members))
-        for u, v in pairwise(members):  # chain the class: x1 < ... < xk
-            succs[u] |= 1 << v
+    succs, _ = _cover_masks(poset)
     layer = {(1 << poset.size) - 1: 1}  # down-set -> labelings of the rest
     for _ in range(poset.size):
         below: dict[int, int] = {}
@@ -176,42 +162,83 @@ def count_linear_extensions(
                     rest = mask ^ low
                     below[rest] = below.get(rest, 0) + count
         layer = below
-    return orders * layer[0]
+    return layer[0]
+
+
+def count_tree_extensions(poset: Poset) -> int:
+    """Exact number of linear extensions of a poset whose Hasse diagram
+    is a tree, each cover pointing either way along its edge (M. D.
+    Atkinson, "On computing the number of linear extensions of a tree",
+    *Order* 7 (1990) 23-25).
+
+    The tree is rooted at a leaf and its elements listed in BFS order,
+    without recursion.  Each element keeps a table for its part, itself
+    with the subtrees merged into it so far: f[i] counts the orders of
+    the part in which the element has rank i (0-based).  Taken back from
+    the end of the list, so leaves first, each element's table merges
+    into its parent's and is dropped (:func:`_merge`).  The count is the
+    sum of the root's table, after O(size²) products.  A part of one
+    element takes the child's table as a prefix or suffix sum, which is
+    the up or down step of a walk along a fence (Stanley, *Enumerative
+    Combinatorics I*, §1.4), so a fence, rooted at one end, is walked end
+    to end with that step alone.  Raises ValueError unless the covers
+    form a tree: size - 1 of them, every element reached from the root.
+    """
+    size = poset.size
+    if size == 0:
+        return 1
+    links: list[list[int]] = [[] for _ in range(size)]
+    for u, v in poset.covers | {(v, u) for u, v in poset.covers}:
+        links[u].append(v)  # u and v are neighbours in the diagram
+    # (element, parent) pairs in BFS order from a leaf: the children of an
+    # element are its neighbours but its parent.  On a cycle the list
+    # outgrows the poset, so it is read no further than size pairs.
+    order = [(min(range(size), key=lambda v: len(links[v])), -1)]
+    for v, p in islice(order, size):  # read while it grows
+        order += [(w, v) for w in links[v] if w != p]
+    if len(order) != size or len(poset.covers) != size - 1:
+        raise ValueError("the Hasse diagram of the poset is not a tree")
+    tables = dict.fromkeys(range(size), [1])  # each part holds its element alone
+    for v, p in reversed(order[1:]):  # every child before its parent
+        tables[p] = _merge(tables[p], tables.pop(v), (p, v) in poset.covers)
+    return sum(tables[order[0][0]])
+
+
+def _merge(f: list[int], g: list[int], up: bool) -> list[int]:
+    """The table of a part of a = len(f) elements with the subtree of a
+    child, b = len(g) elements, merged into it; up when the child lies
+    above the part's element v.
+
+    G[j] counts the child's orders with exactly j of its elements before
+    v: the suffix sum of g over ranks k >= j when the child lies above v,
+    the prefix sum over k < j when below.  Then h[i + j] gets f[i] G[j]
+    C(i + j, j) C(a - 1 - i + b - j, b - j), the binomials interleaving
+    the elements before v and those after it.  When a = 1 both are 1 and
+    h = G.
+    """
+    G = [*accumulate(g[::-1])][::-1] + [0] if up else [0, *accumulate(g)]
+    if len(f) == 1:
+        return G
+    a, b = len(f), len(g)
+    h = [0] * (a + b)
+    for i, x in enumerate(f):
+        for j, y in enumerate(G):
+            h[i + j] += comb(i + j, j) * comb(a - 1 - i + b - j, b - j) * x * y
+    return h
 
 
 def count_fence_extensions(poset: Poset) -> int:
     """Exact number of linear extensions of a fence: a poset whose Hasse
-    diagram is a path, each cover pointing either way along it.
-
-    The walk starts at one end.  After i elements, dp[j] counts the
-    orders of those i in which the last has rank j (0-based).  Stepping
-    up to an element above the last gives it any rank k with the last
-    below it, so the new dp[k] is the sum of dp[j] for j < k, a prefix
-    sum; stepping down gives the suffix sum of dp[j] for j >= k.  The
-    total is the sum of dp at the far end, in O(size²) additions, with
-    no recursion and no guard (Stanley, *Enumerative Combinatorics I*,
-    §1.4; de Bruijn 1970).  Raises ValueError unless the covers form one
-    path: size - 1 of them, every element on at most two, all reached
-    from an end.
+    diagram is a path, each cover pointing either way along it.  A path
+    is a tree, so :func:`count_tree_extensions` counts it, walking it
+    from one end.  Raises ValueError unless the covers form a path: a
+    tree with every element on at most two covers.
     """
-    size = poset.size
-    if size <= 1:
-        return 1
-    links: list[list[tuple[int, bool]]] = [[] for _ in range(size)]
-    for u, v in poset.covers:
-        links[u].append((v, True))  # v lies above u
-        links[v].append((u, False))
-    if len(poset.covers) != size - 1:
-        raise ValueError("the Hasse diagram of the poset is not a path")
-    v = next(w for w in range(size) if len(links[w]) < 2)  # an end, or isolated
-    prev, dp = -1, [1]
-    for _ in range(size - 1):
-        step = [link for link in links[v] if link[0] != prev]
-        if len(step) != 1:  # a branch, or an end before the last element
-            raise ValueError("the Hasse diagram of the poset is not a path")
-        prev, (v, up) = v, step[0]
-        dp = [0, *accumulate(dp)] if up else [*accumulate(dp[::-1])][::-1] + [0]
-    return sum(dp)
+    ends = Counter(chain.from_iterable(poset.covers))  # the covers at each element
+    if max(ends.values(), default=0) <= 2:
+        with suppress(ValueError):  # not a tree
+            return count_tree_extensions(poset)
+    raise ValueError("the Hasse diagram of the poset is not a path")
 
 
 def enumerate_linear_extensions(
@@ -356,7 +383,8 @@ def build_adjacent_poset(variant: str, n: int) -> Poset:
     ``S`` adds one extra node below the first left leaf; ``B`` adds
     both.  n = 0 degenerates to the empty poset, a point, a point, and
     a two-chain respectively.  Each is a fence (its Hasse diagram is a
-    path), so :func:`count_fence_extensions` counts it.
+    path), so :func:`count_tree_extensions` counts it, walking the path
+    from one end, and so does :func:`count_fence_extensions`.
     """
     if variant not in ("A", "E", "S", "B"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -21,6 +21,8 @@ from shrubstat import (
     count_linear_extensions,
     enumerate_linear_extensions,
     enumerate_paths,
+    ibf,
+    ilf,
     linext_seq,
     path_word,
     posets,
@@ -493,6 +495,38 @@ def test_chain_count_at_n_100_is_quick(capsys):
     code, out, _ = run(capsys, "extensions", "--family", "B", "--n", "100", "--force")
     assert time.process_time() - start < 2
     assert (code, out) == (0, f"{linext_seq('LB', 100)}\n")
+
+
+@pytest.mark.parametrize(
+    "family, want",
+    [("ISF", 2 * 5 * 8 * 11 * 14 * 17 * 20 * 23), ("IBF", ibf(8))],  # ISF: prod 3k - 1
+)
+def test_forest_families_count_without_the_down_set_dp(
+    capsys, monkeypatch, family, want
+):
+    def no_dp(poset, **kwargs):
+        raise AssertionError("count_linear_extensions ran")
+
+    monkeypatch.setattr(posets, "count_linear_extensions", no_dp)
+    code, out, err = run(capsys, "extensions", "--family", family, "--n", "8")
+    assert (code, out, err) == (0, f"{want}\n", "")
+
+
+def test_grid_family_counts_without_the_tree_dp(capsys, monkeypatch):
+    def no_tree(poset):
+        raise AssertionError("count_tree_extensions ran")
+
+    monkeypatch.setattr(posets, "count_tree_extensions", no_tree)
+    code, out, err = run(capsys, "extensions", "--family", "L", "--n", "8")
+    assert (code, out, err) == (0, f"{ilf(8)}\n", "")
+
+
+def test_ibf_count_at_n_200_is_quick(capsys):
+    # the down-set DP would face more than 2**200 down-sets
+    start = time.process_time()
+    code, out, _ = run(capsys, "extensions", "--family", "IBF", "--n", "200", "--force")
+    assert time.process_time() - start < 2
+    assert (code, out) == (0, f"{ibf(200)}\n")
 
 
 def test_extensions_guard(capsys):

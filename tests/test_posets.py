@@ -20,6 +20,7 @@ from shrubstat import (
     build_lex_poset,
     count_fence_extensions,
     count_linear_extensions,
+    count_tree_extensions,
     enumerate_linear_extensions,
     forest_from_perm,
     ibf,
@@ -415,6 +416,79 @@ def test_fence_count_equals_the_recurrences_to_n_120():
 def test_fence_count_refuses_a_poset_that_is_not_a_path(poset):
     with pytest.raises(ValueError, match="not a path"):
         count_fence_extensions(poset)
+
+
+def test_tree_count_equals_the_down_set_dp_on_isf_and_ibf():
+    for build in (build_isf_poset, build_ibf_poset):
+        for n in range(1, 9):
+            poset = build(n)
+            want = count_linear_extensions(poset, max_size=poset.size)
+            assert count_tree_extensions(poset) == want, (build.__name__, n)
+
+
+def test_tree_count_equals_the_down_set_dp_on_random_trees():
+    # 1..13 elements numbered at random; each element after the first
+    # hangs from an earlier one, by a cover pointing either way
+    rng = random.Random(2701)
+    for _ in range(300):
+        size = rng.randint(1, 13)
+        name = rng.sample(range(size), size)
+        covers = []
+        for v in range(1, size):
+            u, w = name[rng.randrange(v)], name[v]
+            covers.append((u, w) if rng.random() < 0.5 else (w, u))
+        poset = Poset.from_covers(size, covers)
+        assert count_tree_extensions(poset) == count_linear_extensions(poset), covers
+
+
+def test_tree_count_equals_ibf_and_the_chain_recurrences():
+    for n in range(60):
+        if n:
+            assert count_tree_extensions(build_ibf_poset(n)) == ibf(n), n
+        for variant in "AESB":
+            got = count_tree_extensions(build_adjacent_poset(variant, n))
+            assert got == linext_seq("L" + variant, n), (variant, n)
+
+
+def test_tree_merge_ranks_the_part_element():
+    # f[i] counts the orders of a part in which its element v has rank i;
+    # a count cannot tell the orientation, since the dual poset has as
+    # many labelings.  v below its one child comes first, above it last.
+    assert posets._merge([1], [1], True) == [1, 0]
+    assert posets._merge([1], [1], False) == [0, 1]
+    # v < x, merged with a child w above v: v comes first in both orders
+    assert posets._merge([1, 0], [1], True) == [2, 0, 0]
+    assert posets._merge([1, 0], [1], False) == [0, 1, 0]
+
+
+def test_tree_count_of_the_smallest_posets():
+    assert count_tree_extensions(antichain(0)) == 1
+    assert count_tree_extensions(antichain(1)) == 1
+
+
+def test_tree_count_does_not_recurse():
+    # a chain longer than the recursion limit: one labeling
+    size = sys.getrecursionlimit() + 100
+    assert count_tree_extensions(chain(size)) == 1
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        antichain(3),
+        Poset.from_covers(4, [(0, 1), (2, 3)]),  # two disjoint 2-chains
+        Poset.from_covers(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # triangle + edge
+        # a triangle with a pendant element, which is the first leaf, plus
+        # an edge: size - 1 covers, and the walk from the leaf meets the cycle
+        Poset.from_covers(6, [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5)]),
+        build_lex_poset(2),
+        Poset.from_covers(2, [(0, 1), (1, 0)]),  # a 2-cycle
+        Poset.from_covers(3, [(0, 1), (1, 0)]),  # a 2-cycle beside a point
+    ],
+)
+def test_tree_count_refuses_a_poset_that_is_not_a_tree(poset):
+    with pytest.raises(ValueError, match="not a tree"):
+        count_tree_extensions(poset)
 
 
 def test_isf_poset_counts_and_words():

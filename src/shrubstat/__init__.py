@@ -52,6 +52,7 @@ _EXPORTS = {
         "path_word",
         "rows_from_extension",
         "rows_from_path",
+        "walk_blocks",
     ),
     "names": ("GuardExceeded", "RiseKind"),
     "polynomial": ("XPoly",),

@@ -96,7 +96,8 @@ def _poset(family: str, n: int):
     return posets.build_adjacent_poset(family, n)  # A, E, S or B: chains
 
 
-#: Lines (or JSON payload items) per write call of a streamed listing.
+#: Lines (or JSON payload items) per write call of a streamed listing;
+#: a text or CSV walk listing writes one head block per call instead.
 _BATCH = 4096
 
 
@@ -106,14 +107,14 @@ def _batches(items: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(it, _BATCH)), [])
 
 
-def _write_lines(lines: Iterable[str], sep: str = "\n") -> None:
-    """Write the lines joined by sep and ended by a newline, as they are
-    produced: one write call per batch of lines, so a listing is never
-    held whole and the stream's per-call cost is paid per batch."""
+def _write_chunks(chunks: Iterable[str], sep: str) -> None:
+    """Write the chunks (runs of lines joined by sep) joined by sep and
+    ended by a newline, one write call per chunk, as they are produced;
+    nothing is written before the first chunk is."""
     write = sys.stdout.write
     lead = ""
-    for batch in _batches(lines):
-        write(lead + sep.join(batch))
+    for chunk in chunks:
+        write(lead + chunk)
         lead = sep
     if lead:
         write("\n")
@@ -154,7 +155,8 @@ def _emit(args, payload, ok: bool = True) -> int:
     else:
         flat = isinstance(payload, list) and isinstance(payload[0], str)
         sep = "," if args.format == "csv" else ", " if flat else "  "
-        _write_lines(map(sep.join, [payload] if flat else payload))
+        lines = map(sep.join, [payload] if flat else payload)
+        _write_chunks(map("\n".join, _batches(lines)), "\n")
         if not ok and args.format == "text":
             print("FAIL")
     return EXIT_OK if ok else EXIT_FAIL
@@ -212,12 +214,14 @@ def cmd_paths(args) -> int:
 
     _check_guard(args, args.n, DEFAULT_MAX_TRIPLES)
     if args.list:
-        stream = kreweras.enumerate_paths(args.n, max_triples=args.n)
-        words = map(kreweras.path_word, stream)
+        blocks = kreweras.walk_blocks(args.n, max_triples=args.n)
         if args.format != "json":  # csv: one row holding every walk
-            _write_lines(words, "," if args.format == "csv" else "\n")
+            sep = "," if args.format == "csv" else "\n"
+            # a block is its head before each of its tails: one join
+            chunks = (head + (sep + head).join(tails) for head, tails in blocks)
+            _write_chunks(chunks, sep)
             return EXIT_OK
-        payload = words
+        payload = (head + tail for head, tails in blocks for tail in tails)
     else:
         payload = [str(kreweras.count_paths(args.n))]
     return _emit(args, payload)

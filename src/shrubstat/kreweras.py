@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .names import DEFAULT_MAX_TRIPLES, check_guard
 from .record import Record
 
-# Steps per walk that enumerate_paths takes from its table of
+# Steps per walk that walk_blocks takes from its table of
 # completions.  Nine is half a walk at the default guard; a fixed
 # length, not half of every walk, keeps the table small for any n.
 _TAIL_STEPS = 9
@@ -54,10 +54,15 @@ def path_word(path: Sequence[Step]) -> str:
     return "".join(path)
 
 
+#: Each step by its letter: the one way a word is read back into steps.
+_STEP_OF = {step.value: step for step in Step}
+
+
 def path_from_word(word: Sequence[str]) -> Path:
+    steps = map(_STEP_OF.__getitem__, word)
     try:
-        return tuple(Step(ch) for ch in word)
-    except ValueError:
+        return tuple(steps)
+    except (KeyError, TypeError):  # TypeError: an entry that is unhashable
         raise ValueError(f"step letters must be N, W or S: {word!r}") from None
 
 
@@ -93,18 +98,20 @@ def is_valid_path(steps: Sequence[Step]) -> bool:
     return counts == (n, n, n)
 
 
-def enumerate_paths(
+def walk_blocks(
     n: int, *, max_triples: int = DEFAULT_MAX_TRIPLES
-) -> Iterator[Path]:
-    """Yield every valid walk of length 3n once, lexicographically in
-    the step order NE < W < S.
+) -> Iterator[tuple[str, list[str]]]:
+    """Yield every valid walk of length 3n once, as blocks (head, tails):
+    the words ``head + tail`` for each tail in order, and the blocks in
+    order, list the walks lexicographically in the step order NE < W < S.
 
-    One recursion lists walks up to a stop length: streamed from the
-    origin it gives each walk but its last nine steps, and run from the
-    step counts there, cached per counts, it gives a table of
-    completions that supplies those nine.  The table is built during
-    the call and holds at most 3 674 tails in 22 entries for any n
-    (3 512 in 14 at n = 6).
+    One recursion lists words up to a stop length: streamed from the
+    origin it gives each walk but its last nine steps, the heads, and
+    run from the step counts there, cached per counts, it gives a table
+    of tail words that supplies those nine.  Every head has a tail (its
+    missing NE, then W, then S steps), so no block is empty.  The table
+    is built during the call and holds at most 3 674 tails in 22 lists
+    for any n (3 512 in 14 at n = 6, shared by 2 470 heads).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -115,21 +122,32 @@ def enumerate_paths(
     # walk comes without listing every head.
     total = 3 * n
 
-    def walks(counts: _Counts, stop: int) -> Iterator[tuple[Path, _Counts]]:
-        # each walk from counts until stop steps, with its counts there
+    def walks(counts: _Counts, stop: int) -> Iterator[tuple[str, _Counts]]:
+        # each word from counts until stop steps, with its counts there
         if sum(counts) == stop:
-            yield (), counts
+            yield "", counts
             return
         for step, after in _moves(n, counts):
-            for steps, end in walks(after, stop):
-                yield (step, *steps), end
+            for word, end in walks(after, stop):
+                yield step.value + word, end
 
     @cache
-    def completions(counts: _Counts) -> list[Path]:
+    def completions(counts: _Counts) -> list[str]:
         return [tail for tail, _ in walks(counts, total)]
 
     for head, counts in walks((0, 0, 0), max(0, total - _TAIL_STEPS)):
-        yield from map(head.__add__, completions(counts))
+        yield head, completions(counts)
+
+
+def enumerate_paths(
+    n: int, *, max_triples: int = DEFAULT_MAX_TRIPLES
+) -> Iterator[Path]:
+    """Yield every valid walk of length 3n once, lexicographically in
+    the step order NE < W < S: the walks of :func:`walk_blocks` as
+    tuples of steps."""
+    tail_steps = cache(path_from_word)  # each of the few tails read once
+    for head, tails in walk_blocks(n, max_triples=max_triples):
+        yield from map(path_from_word(head).__add__, map(tail_steps, tails))
 
 
 def count_paths(n: int) -> int:

@@ -61,10 +61,10 @@ DEFAULT_MAX_COUNT_SIZE = 24
 
 #: Elements of a poset whose labelings are listed (keyword ``max_size``).
 #: The time grows with the number of labelings, and memory with the
-#: largest bucket of them sharing element 0's label (an int per labeling;
-#: A at n = 4, 12 elements, has 666 160 labelings and buckets of at most
-#: 211 651), plus a table of completions that is small beside it (there:
-#: 47 up-sets with 5 383 completions in all).
+#: largest bucket of them sharing the labels of elements 0 and 1 (an int
+#: per labeling; A at n = 4, 12 elements, has 666 160 labelings in 63
+#: buckets of at most 19 241), plus a table of completions that is small
+#: beside it (there: 47 up-sets with 5 383 completions in all).
 DEFAULT_MAX_ENUM_SIZE = 12
 
 #: The poset families of ``extensions``, each with the elements it has

@@ -53,6 +53,7 @@ def no_work(monkeypatch):
     )
     monkeypatch.setattr(kreweras, "count_paths", lambda n: 0)
     monkeypatch.setattr(kreweras, "enumerate_paths", lambda n, max_triples: iter(()))
+    monkeypatch.setattr(kreweras, "walk_blocks", lambda n, max_triples: iter(()))
     monkeypatch.setattr(counts, "ilf", lambda n: 0)
     monkeypatch.setattr(posets, "count_linear_extensions", lambda p, max_size: 0)
     monkeypatch.setattr(

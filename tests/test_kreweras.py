@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from shrubstat import (
     path_word,
     rows_from_extension,
     rows_from_path,
+    walk_blocks,
 )
 
 NWS = (Step.NE, Step.W, Step.S)
@@ -109,6 +111,66 @@ def test_enumerate_paths_streams_its_heads():
 def test_prefix_is_parsed_like_a_word():
     with pytest.raises(ValueError, match="step letters must be N, W or S"):
         path_from_word("NX")
+
+
+@pytest.mark.parametrize(
+    "word", ["NX", "nws", ["N", "NW"], ["N", 1], [None], [["N"]], [{"N"}], ("N", [])]
+)
+def test_every_bad_letter_is_the_same_value_error(word):
+    # unhashable entries too, which a bare table lookup would reject
+    # with a TypeError
+    with pytest.raises(ValueError, match=r"^step letters must be N, W or S: "):
+        path_from_word(word)
+    assert path_from_word(list("NWS")) == path_from_word(NWS) == NWS
+
+
+def _walked_table(n):
+    """(lists, tails): the tail lists that the blocks at n share, each
+    counted once however many heads it finishes."""
+    lists = {id(tails): tails for _, tails in walk_blocks(n, max_triples=n)}
+    return len(lists), sum(map(len, lists.values()))
+
+
+def _tails_by_letters_left():
+    """The nine-step tails that keep the walk rule, counted by the NE, W
+    and S steps (a, b, c) they hold, without walk_blocks.  Whether a tail
+    keeps the rule depends on (a, b, c) alone, so each is read after the
+    head of a walk at n = 9 that leaves those steps; a triple whose head
+    breaks the rule (a > b or a > c) gets no tails."""
+    found = Counter()
+    for letters in itertools.product("NWS", repeat=9):
+        a, b, c = map(letters.count, "NWS")
+        head = "N" * (9 - a) + "W" * (9 - b) + "S" * (9 - c)
+        found[a, b, c] += is_valid_path(head + "".join(letters))
+    return +found  # drop the triples without tails
+
+
+def test_walk_table_stays_small():
+    walked = [_walked_table(n) for n in range(8)]
+    assert walked[6] == (14, 3512) and walked[7] == (18, 3654)
+    # At n >= 3 the table holds the tails of each triple of steps left
+    # whose W and S steps a walk of n triples has room for; listing the
+    # 1.1 million heads at n = 8 takes about 10 s of CPU, so that n is
+    # counted this way only, after the walked n agree with it.
+    tails = _tails_by_letters_left()
+
+    def counted(n):
+        kept = [k for (_, b, c), k in tails.items() if max(b, c) <= n]
+        return len(kept), sum(kept)
+
+    assert walked[3:] == [counted(n) for n in range(3, 8)]
+    assert counted(8) == (20, 3672)
+    assert counted(9) == (len(tails), sum(tails.values())) == (22, 3674)
+    assert all(lists <= 22 and k <= 3674 for lists, k in walked + [counted(8)])
+
+
+def test_walk_blocks_concatenate_to_the_walks():
+    for n in range(6):
+        words = [head + tail for head, tails in walk_blocks(n) for tail in tails]
+        assert words == [path_word(p) for p in enumerate_paths(n)]
+        assert len(words) == count_paths(n)
+        assert all(is_valid_path(word) for word in words)
+        assert words == sorted(words, key=lambda w: ["NWS".index(c) for c in w])
 
 
 @given(st.lists(st.sampled_from(Step)).map(tuple))

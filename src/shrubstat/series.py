@@ -15,10 +15,14 @@ The builders return the distribution generating functions for the five
 rise statistics, truncated at a whole number of shrubs (order 3N in t):
 the plain-ascent series from its product formula, the four pairwise
 statistics from their chain counts, the minimal-ascent specialization,
-and literal closed forms for the three statistics that have one.  The
-closed-form and fraction-form builders divide by a series whose leading
-polynomial is 1 - x, exercising exact polynomial division; they provide
-an independent route that must agree with the reciprocal-based builders
+and literal closed forms for the three statistics that have one.
+:func:`rise_gf` is the reciprocal of a unit-constant-term series, which
+:mod:`shrubstat.interpolation` evaluates at integer points and
+interpolates back exactly; the minimal-ascent series is a reciprocal by
+:meth:`EgfSeries.reciprocal`.  The closed-form and fraction-form
+builders divide XPoly series by a series whose leading polynomial is
+1 - x, exercising exact polynomial division; they are routes independent
+in formula and in arithmetic, and must agree with :func:`rise_gf`
 coefficient by coefficient.
 """
 
@@ -28,7 +32,7 @@ from collections.abc import Callable, Mapping
 from math import factorial, prod
 from typing import Iterable
 
-from .counts import iaf, ibf, ilf, itf, within_rise_poly
+from .counts import within_rise_poly
 from .names import DEFAULT_SHRUBS, MIN_RISE, RiseKind, exact_quotient
 from .polynomial import Scalar, XPoly, _coerce, egf_coeff
 from .record import Record
@@ -173,14 +177,6 @@ _X_MINUS_ONE = XPoly((-1, 1))
 _ONE_MINUS_X = XPoly((1, -1))
 
 
-_CHAIN_COUNTS = {
-    RiseKind.TOTAL: itf,
-    RiseKind.BASE: ibf,
-    RiseKind.LEX: ilf,
-    RiseKind.ADJACENT: iaf,
-}
-
-
 def _shrub_series(
     shrubs: int, constant: XPoly, term: Callable[[int, XPoly], XPoly | Scalar]
 ) -> EgfSeries:
@@ -203,12 +199,14 @@ def rise_gf(kind: RiseKind | str, shrubs: int = DEFAULT_SHRUBS) -> StatGF:
     -x**n (x-1)**(n-1) prod_{k=1..n}(x+3k-2); for a pairwise statistic
     it is -(x-1)**(n-1) times the matching chain count.  Either way the
     result is the reciprocal of a unit-constant-term series, so every
-    coefficient stays polynomial.
+    coefficient stays polynomial; :mod:`shrubstat.interpolation` builds
+    it from its values at integer points.
     """
+    from .interpolation import rise_rows
+
     kind = RiseKind(kind)
-    factor = within_rise_poly if kind is RiseKind.WORD else _CHAIN_COUNTS[kind]
-    series = _shrub_series(shrubs, XPoly.one(), lambda n, p: -p * factor(n))
-    return StatGF(kind.value, series.reciprocal())
+    terms = {3 * n: row for n, row in enumerate(rise_rows(kind, shrubs))}
+    return StatGF(kind.value, EgfSeries(3 * shrubs, terms))
 
 
 def min_rise_gf(shrubs: int = DEFAULT_SHRUBS) -> StatGF:

@@ -66,6 +66,16 @@ def test_seq_loads_no_polynomial(baseline):
     assert not {"shrubstat.polynomial", "fractions"} & loaded
 
 
+def test_only_rise_gf_loads_the_interpolation():
+    # the fraction form and the closed forms (the library routes of
+    # bench/routes.py) divide over XPoly and need no interpolation
+    routes = "from shrubstat import series\n"
+    routes += "series.rise_gf_via_fraction(2)\nseries.closed_form_gf('risT', 2)"
+    assert "shrubstat.interpolation" not in loaded_after(routes)
+    reciprocal = "from shrubstat import series\nseries.rise_gf('risA', 2)"
+    assert "shrubstat.interpolation" in loaded_after(reciprocal)
+
+
 def test_start_path_loads_only_what_it_names(baseline):
     def package_modules(code: str) -> list[str]:
         loaded = loaded_after(code) - baseline

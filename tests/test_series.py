@@ -1,4 +1,8 @@
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +21,8 @@ from shrubstat import (
     rise_gf,
     rise_gf_via_fraction,
 )
+from shrubstat import interpolation, series
+from shrubstat.counts import iaf, ibf, ilf, itf, within_rise_poly
 from shrubstat.series import MIN_RISE
 
 from golden import GF_GOLDEN
@@ -142,6 +148,79 @@ def test_closed_forms_equal_chain_count_route():
         closed_form_gf("risA", 2)
     with pytest.raises(ValueError):
         closed_form_gf("ris", 2)
+
+
+#: The polynomial factor of each statistic's denominator term.
+FACTORS = {"ris": within_rise_poly, "risT": itf, "risB": ibf, "risL": ilf, "risA": iaf}
+
+
+def reciprocal_oracle(kind, shrubs):
+    """The series rise_gf builds, as the reciprocal of its denominator in
+    XPoly arithmetic, which the interpolation never uses."""
+    factor = FACTORS[kind]
+    denominator = series._shrub_series(
+        shrubs, XPoly.one(), lambda n, p: -p * factor(n)
+    )
+    return denominator.reciprocal()
+
+
+def test_interpolation_equals_reciprocal_over_xpoly():
+    for kind in FACTORS:
+        for shrubs in range(1, 13):
+            want = reciprocal_oracle(kind, shrubs)
+            assert rise_gf(kind, shrubs).series == want, (kind, shrubs)
+
+
+def test_routes_agree_at_twenty_shrubs():
+    assert rise_gf("ris", 20).series == rise_gf_via_fraction(20).series
+    for stat in ("risT", "risB", "risL"):
+        assert rise_gf(stat, 20).series == closed_form_gf(stat, 20).series, stat
+
+
+def off_by_one_at(k, x):
+    """The word statistic's f_k at x, raised by one at the given k and x."""
+    factor = interpolation._word_factor
+    return lambda j, y: factor(j, y) + (j == k and y == x)
+
+
+@pytest.mark.parametrize(
+    "k, x, what",
+    # at x = 3 the error leaves b_2(3) off by 2, which 3**2 does not divide;
+    # at x = 1 (where x**n divides everything) b_2(1) is off by 100, which
+    # leaves its third difference, a multiple of 3! before, indivisible
+    [(2, 3, "b_n(x) / x**n"), (1, 1, "a Newton coefficient")],
+)
+def test_a_wrong_value_raises_instead_of_interpolating(monkeypatch, k, x, what):
+    monkeypatch.setattr(interpolation, "_word_factor", off_by_one_at(k, x))
+    with pytest.raises(ArithmeticError, match=re.escape(f"{what} is not an integer")):
+        rise_gf("ris", 4)
+
+
+def test_interpolation_under_optimisation():
+    # a fresh interpreter that strips assert statements: the exact
+    # divisions still hold the result to the reciprocal and still refuse
+    # a wrong value
+    script = (
+        "from shrubstat import interpolation, series\n"
+        "from shrubstat.counts import within_rise_poly\n"
+        "oracle = series._shrub_series(\n"
+        "    6, series.XPoly.one(), lambda n, p: -p * within_rise_poly(n)\n"
+        ").reciprocal()\n"
+        "if series.rise_gf('ris', 6).series != oracle:\n"
+        "    raise SystemExit(3)\n"
+        "factor = interpolation._word_factor\n"
+        "interpolation._word_factor = lambda k, x: factor(k, x) + (k == 2 and x == 3)\n"
+        "try:\n"
+        "    series.rise_gf('ris', 6)\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(4)\n"
+    )
+    src = os.path.dirname(os.path.dirname(series.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    if proc.returncode != 0:
+        pytest.fail(f"rise_gf under -O exited {proc.returncode}")
 
 
 def test_min_rise_series():

@@ -62,7 +62,6 @@ _EXPORTS = {
         "build_ibf_poset",
         "build_isf_poset",
         "build_lex_poset",
-        "count_fence_extensions",
         "count_linear_extensions",
         "count_tree_extensions",
         "enumerate_linear_extensions",

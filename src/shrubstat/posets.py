@@ -27,11 +27,12 @@ connected.  The four adjacent-chain families are fences, trees that are
 paths: each shrub's root sits between its two leaves, and each right
 leaf lies below the next left leaf, so the path runs
 L₀ > r₀ < R₀ < L₁ > r₁ < R₁ < ..., with S's cap below L₀ and E's above
-the last R.  Rooted at one end, a fence is walked with the DP's
-one-element step alone, an up/down walk in O(size²) additions.  The
-command line counts the six trees this way and keeps the down-set DP
-for the grid poset L, whose diagram has cycles; the down-set DP stays
-the oracle the tree count is tested against.
+the last R.  The tree count is the one count of a fence: rooted at one
+end, a fence is walked with the DP's one-element step alone, an up/down
+walk in O(size²) additions.  The command line counts the six trees this
+way and keeps the down-set DP for the grid poset L, whose diagram has
+cycles; the down-set DP stays the oracle the tree count is tested
+against.
 
 Builders are provided for every poset family the package needs: the
 boundary-increasing and root-increasing forest posets, the three-row
@@ -45,11 +46,9 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections import Counter
-from contextlib import suppress
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb
 from typing import Iterable, Iterator
 
@@ -227,20 +226,6 @@ def _merge(f: list[int], g: list[int], up: bool) -> list[int]:
     return h
 
 
-def count_fence_extensions(poset: Poset) -> int:
-    """Exact number of linear extensions of a fence: a poset whose Hasse
-    diagram is a path, each cover pointing either way along it.  A path
-    is a tree, so :func:`count_tree_extensions` counts it, walking it
-    from one end.  Raises ValueError unless the covers form a path: a
-    tree with every element on at most two covers.
-    """
-    ends = Counter(chain.from_iterable(poset.covers))  # the covers at each element
-    if max(ends.values(), default=0) <= 2:
-        with suppress(ValueError):  # not a tree
-            return count_tree_extensions(poset)
-    raise ValueError("the Hasse diagram of the poset is not a path")
-
-
 def enumerate_linear_extensions(
     poset: Poset, *, max_size: int = DEFAULT_MAX_ENUM_SIZE
 ) -> Iterator[tuple[int, ...]]:
@@ -383,8 +368,8 @@ def build_adjacent_poset(variant: str, n: int) -> Poset:
     ``S`` adds one extra node below the first left leaf; ``B`` adds
     both.  n = 0 degenerates to the empty poset, a point, a point, and
     a two-chain respectively.  Each is a fence (its Hasse diagram is a
-    path), so :func:`count_tree_extensions` counts it, walking the path
-    from one end, and so does :func:`count_fence_extensions`.
+    path), so :func:`count_tree_extensions`, the one count of a fence,
+    counts it by walking the path from one end.
     """
     if variant not in ("A", "E", "S", "B"):
         raise ValueError(f"unknown variant {variant!r}")

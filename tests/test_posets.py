@@ -18,7 +18,6 @@ from shrubstat import (
     build_ibf_poset,
     build_isf_poset,
     build_lex_poset,
-    count_fence_extensions,
     count_linear_extensions,
     count_tree_extensions,
     enumerate_linear_extensions,
@@ -377,7 +376,7 @@ def test_fence_count_equals_the_down_set_dp_on_the_chain_families():
         for n in range(9):
             poset = build_adjacent_poset(variant, n)
             want = count_linear_extensions(poset, max_size=poset.size)
-            assert count_fence_extensions(poset) == want, (variant, n)
+            assert count_tree_extensions(poset) == want, (variant, n)
 
 
 def test_fence_count_equals_the_down_set_dp_on_random_fences():
@@ -390,32 +389,28 @@ def test_fence_count_equals_the_down_set_dp_on_random_fences():
             (u, v) if rng.random() < 0.5 else (v, u) for u, v in pairwise(order)
         ]
         poset = Poset.from_covers(size, covers)
-        assert count_fence_extensions(poset) == count_linear_extensions(poset)
+        assert count_tree_extensions(poset) == count_linear_extensions(poset)
 
 
 def test_fence_count_equals_the_recurrences_to_n_120():
     start = time.process_time()
     for variant in "AESB":
         for n in range(121):
-            got = count_fence_extensions(build_adjacent_poset(variant, n))
+            got = count_tree_extensions(build_adjacent_poset(variant, n))
             assert got == linext_seq("L" + variant, n), (variant, n)
     assert time.process_time() - start < 5
 
 
-@pytest.mark.parametrize(
-    "poset",
-    [
-        build_isf_poset(3),
-        build_lex_poset(2),
-        antichain(3),
-        Poset.from_covers(4, [(0, 1), (2, 3)]),  # two disjoint 2-chains
-        Poset.from_covers(4, [(0, 1), (0, 2), (0, 3)]),  # a star: 0 on three covers
-        Poset.from_covers(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # 4 covers, no path
-    ],
-)
-def test_fence_count_refuses_a_poset_that_is_not_a_path(poset):
-    with pytest.raises(ValueError, match="not a path"):
-        count_fence_extensions(poset)
+def test_fence_count_walks_with_the_one_element_step(monkeypatch):
+    # rooted at one end, every part of a fence is its element alone, so
+    # the walk never reaches _merge's binomials
+    def no_comb(n, k):
+        raise AssertionError("a fence was merged with binomials")
+
+    monkeypatch.setattr(posets, "comb", no_comb)
+    for variant in "AESB":
+        got = count_tree_extensions(build_adjacent_poset(variant, 50))
+        assert got == linext_seq("L" + variant, 50), variant
 
 
 def test_tree_count_equals_the_down_set_dp_on_isf_and_ibf():

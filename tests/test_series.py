@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shrubstat import (
     EgfSeries,
+    RiseKind,
     StatGF,
     XPoly,
     build_gf,
@@ -194,6 +195,45 @@ def test_a_wrong_value_raises_instead_of_interpolating(monkeypatch, k, x, what):
     monkeypatch.setattr(interpolation, "_word_factor", off_by_one_at(k, x))
     with pytest.raises(ArithmeticError, match=re.escape(f"{what} is not an integer")):
         rise_gf("ris", 4)
+
+
+@pytest.mark.parametrize(
+    "kind, shrubs, name, probe, want",
+    [
+        # the word statistic: b_n/x**n has degree at most 2n-1, so row 6
+        # is fixed by x = 1..12, each point reading f_1..f_6 once
+        (
+            RiseKind.WORD,
+            6,
+            "_word_factor",
+            lambda k, x: x,
+            [x for x in range(1, 13) for _ in range(6)],
+        ),
+        # a pairwise statistic: row n takes n points centred on 0, the
+        # last being n - 1 - (n - 1)//2
+        (
+            RiseKind.LEX,
+            7,
+            "_newton_backward",
+            lambda d, last, shift: (len(d), last),
+            [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3)],
+        ),
+    ],
+    ids=["word", "pairwise"],
+)
+def test_rise_rows_take_the_fewest_points(
+    monkeypatch, kind, shrubs, name, probe, want
+):
+    seen = []
+    inner = getattr(interpolation, name)
+
+    def spy(*args):
+        seen.append(probe(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(interpolation, name, spy)
+    interpolation.rise_rows(kind, shrubs)
+    assert seen == want
 
 
 def test_interpolation_under_optimisation():

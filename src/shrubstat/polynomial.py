@@ -1,30 +1,40 @@
 """Dense polynomials in x with exact coefficients.
 
-The package's own arithmetic is over Python ints; a `fractions.Fraction`
-enters only with a caller's coefficients, which are accepted and
-normalised (a whole one becomes an int).  Nothing is ever rounded, and
-exact division means an integer quotient: :meth:`XPoly.divexact` raises
-ArithmeticError where a coefficient would turn fractional.  Trailing
-zeros are stripped, so equality is structural.
+The package's own arithmetic is over Python ints.  A caller may pass any
+`numbers.Rational` (an int, a bool, a `fractions.Fraction`) as a
+coefficient: it is accepted and normalised, so a whole one becomes an
+int, and anything that is not rational (a float, a complex, a `Decimal`,
+a str) is refused with TypeError.  The package itself imports no
+`fractions`.  Nothing is ever rounded, and exact division means an
+integer quotient: :meth:`XPoly.divexact` raises ArithmeticError where a
+coefficient would turn fractional.  Trailing zeros are stripped, so
+equality is structural.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence, Union
+from numbers import Rational
+from typing import Iterable, Sequence
 
 from .names import exact_quotient
 
-Scalar = Union[int, Fraction]
+Scalar = Rational
 
 
 def _norm(value: Scalar) -> Scalar:
     if type(value) is int:  # the common case, without an ABC instance check
         return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
+    if isinstance(value, Rational) and value.denominator == 1:
+        return int(value.numerator)
     return value
+
+
+def _exact(value: Scalar) -> Scalar:
+    """A coefficient as stored: rational, and an int when it is whole."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"coefficient {value!r} is not a rational number")
+    return _norm(value)
 
 
 class XPoly:
@@ -33,7 +43,7 @@ class XPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        items = [_norm(c) for c in coeffs]
+        items = [c if type(c) is int else _exact(c) for c in coeffs]
         while items and items[-1] == 0:
             items.pop()
         self._coeffs = tuple(items)
@@ -74,7 +84,7 @@ class XPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, XPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self == XPoly.constant(other)
         return NotImplemented
 
@@ -103,9 +113,9 @@ class XPoly:
         return _coerce(other) - self
 
     def __mul__(self, other: "XPoly | Scalar") -> "XPoly":
-        if isinstance(other, (int, Fraction)):
-            return XPoly(c * other for c in self._coeffs)
         if not isinstance(other, XPoly):
+            if isinstance(other, Rational):
+                return XPoly(c * other for c in self._coeffs)
             return NotImplemented
         if not self._coeffs or not other._coeffs:
             return XPoly()
@@ -166,7 +176,7 @@ class XPoly:
 
     def int_coeffs(self) -> tuple:
         """Coefficients as ints; ArithmeticError on any fractional coefficient."""
-        if any(isinstance(c, Fraction) for c in self._coeffs):
+        if any(type(c) is not int for c in self._coeffs):
             raise ArithmeticError(f"non-integer coefficient in {self!r}")
         return self._coeffs
 

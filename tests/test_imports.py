@@ -66,6 +66,24 @@ def test_seq_loads_no_polynomial(baseline):
     assert not {"shrubstat.polynomial", "fractions"} & loaded
 
 
+_CLI = "from shrubstat.cli import main\nmain({!r})"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        _CLI.format(["coeff", "--stat", "ris", "--n", "2"]),
+        _CLI.format(["verify", "--stat", "risB", "--max-n", "2"]),
+        _CLI.format(["ode-check", "--order", "5"]),
+        "from shrubstat import series\nseries.rise_gf_via_fraction(2)",
+        "from shrubstat import series\nseries.closed_form_gf('risB', 2)",
+    ],
+    ids=["coeff", "verify", "ode-check", "rise_gf_via_fraction", "closed_form_gf"],
+)
+def test_polynomial_commands_load_neither_fractions_nor_decimal(baseline, code):
+    assert not {"fractions", "decimal"} & (loaded_after(code) - baseline)
+
+
 def test_only_rise_gf_loads_the_interpolation():
     # the fraction form and the closed forms (the library routes of
     # bench/routes.py) divide over XPoly and need no interpolation

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrubstat import polynomial
 from shrubstat.polynomial import XPoly
+from shrubstat.series import EgfSeries
 
 #: Small-integer polynomials of degree at most 3, zero included.
 xpolys = st.lists(st.integers(-3, 3), max_size=4).map(XPoly)
@@ -90,6 +96,57 @@ def test_int_coeffs():
     assert XPoly((1, 2)).int_coeffs() == (1, 2)
     with pytest.raises(ArithmeticError):
         XPoly((Fraction(1, 2),)).int_coeffs()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: XPoly((0.5,)),
+        lambda: XPoly((1, 0.25)),
+        lambda: XPoly((Decimal(1),)),
+        lambda: EgfSeries(3, {3: 1.5}),
+    ],
+    ids=["half", "quarter", "decimal", "series-term"],
+)
+def test_inexact_coefficients_are_refused(build):
+    with pytest.raises(TypeError, match="not a rational number"):
+        build()
+
+
+def test_bool_coefficients_become_ints():
+    p = XPoly((True, 1))
+    assert p.coeffs == (1, 1)
+    assert [type(c) for c in p.coeffs] == [int, int]
+    assert str(XPoly((True,))) == "1"
+
+
+def test_evaluation_at_an_inexact_value_is_not_refused():
+    assert XPoly((1, 2))(0.5) == 2.0 and type(XPoly((1, 2))(0.5)) is float
+    assert XPoly((1, 2))(Decimal(2)) == Decimal(5)
+
+
+def test_exactness_checks_raise_even_under_optimisation():
+    # a fresh interpreter that strips assert statements
+    script = (
+        "from fractions import Fraction\n"
+        "from shrubstat.polynomial import XPoly\n"
+        "try:\n"
+        "    XPoly((0.5,))\n"
+        "except TypeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit(3)\n"
+        "try:\n"
+        "    XPoly((Fraction(1, 2),)).int_coeffs()\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(4)\n"
+    )
+    src = os.path.dirname(os.path.dirname(polynomial.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    if proc.returncode != 0:
+        pytest.fail(f"exactness checks under -O exited {proc.returncode}")
 
 
 def test_str_format():

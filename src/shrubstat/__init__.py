@@ -65,6 +65,7 @@ _EXPORTS = {
         "count_linear_extensions",
         "count_tree_extensions",
         "enumerate_linear_extensions",
+        "labeling_blocks",
     ),
     "series": (
         "EgfSeries",

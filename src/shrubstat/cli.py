@@ -26,6 +26,9 @@ Each command runs in a fresh interpreter, so start-up is part of its
 cost: the parser is built from :mod:`shrubstat.names` alone, and each
 command imports the layers it calls (and ``json`` for ``--format json``)
 when it runs.
+
+Listings stream in blocks: text and CSV write one block of walks or
+labelings per write call, JSON a batch of payload items.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ def _poset(family: str, n: int):
     return posets.build_adjacent_poset(family, n)  # A, E, S or B: chains
 
 
-#: Lines (or JSON payload items) per write call of a streamed listing;
-#: a text or CSV walk listing writes one head block per call instead.
+#: JSON payload items (or lines of text or CSV) per write call; a text
+#: or CSV listing of walks or labelings writes one block per call instead.
 _BATCH = 4096
 
 
@@ -274,10 +277,24 @@ def cmd_extensions(args) -> int:
         payload = [str(posets.count_tree_extensions(poset))]
     elif args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
-    else:
+    elif args.format == "json":
         names = [str(label) for label in range(poset.size + 1)]
         labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
         payload = ([names[v] for v in labeling] for labeling in labelings)
+    else:
+        sep = "," if args.format == "csv" else "  "
+        names = {chr(v): sep + str(v) for v in range(1, poset.size + 1)}
+
+        def lines(block: str) -> str:
+            # every labeling of a block starts with element 0's label, so
+            # that character alone starts a line; the block's first newline
+            # is dropped, as _write_chunks puts one between blocks
+            table = {**names, block[0]: "\n" + str(ord(block[0]))} if block else {}
+            return "".join([table[c] for c in block])[1:]
+
+        blocks = posets.labeling_blocks(poset, max_size=poset.size)
+        _write_chunks(map(lines, blocks), "\n")
+        return EXIT_OK
     return _emit(args, payload)
 
 

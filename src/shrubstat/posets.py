@@ -13,11 +13,16 @@ carried down as a bitmask, since placing an element can make only its
 successors minimal.  Streamed from the whole poset, it gives the heads
 of the labelings, stopping at ``_TAIL_LABELS`` elements; cached per
 unplaced set (an up-set without element 0), run to the end, it gives the
-table of completions that finishes them.  Each labeling is held as one
-int (a fixed-width field per element) until it is yielded, and the
+table of completions that finishes them.  Element 0 is pinned only to
+the labels it can take, so no bucket is searched for nothing.  Each
+labeling is held as one int (a fixed-width field per element), and the
 labelings are sorted one bucket at a time, a bucket being those that
-give elements 0 and 1 the same two labels.  Counting and enumeration
-refuse a cover relation with a cycle, which
+give elements 0 and 1 the same two labels.  A sorted bucket leaves in
+pieces of a few hundred labelings as bytes, which
+:func:`enumerate_linear_extensions` unpacks into tuples and
+:func:`labeling_blocks` decodes into strings of one character per
+label, for a listing to render with one table lookup per label.
+Counting and enumeration refuse a cover relation with a cycle, which
 :class:`graphlib.TopologicalSorter` detects.
 
 A poset whose Hasse diagram is a tree has a faster count, Atkinson's
@@ -62,6 +67,12 @@ from .record import Record
 #: 0.3 to 2.0 MB more at 4, 5, 7 and 8 (three runs each, Xeon, Python
 #: 3.11.7).
 _TAIL_LABELS = 6
+
+#: Labelings per piece of :func:`_label_pieces`.  Listing A at n = 4 as
+#: text, pieces of 256 labelings peaked at 16.5 MB of RSS, 1 024 at
+#: 16.7 MB and 4 096 at 17.8 MB, with no difference in CPU time
+#: above the noise (three runs each, Xeon, Python 3.11.7).
+_PIECE = 256
 
 
 class Poset(Record):
@@ -232,10 +243,71 @@ def enumerate_linear_extensions(
     """Yield every labeling once, sorted lexicographically as label words.
 
     A labeling is the tuple (label of element 0, ..., label of element
-    size-1).  The labelings are produced one bucket at a time: bucket
-    (a, b) holds those that give element 0 the label a and element 1 the
-    label b, and every labeling in it sorts before those of any later
-    pair, so only one bucket is ever held and sorted.
+    size-1).  The labelings are those of :func:`_label_pieces`, in its
+    order: each piece's fields are unpacked by one
+    :meth:`struct.Struct.iter_unpack`, a field of one byte below 256
+    elements, two below 65 536 and four from there.
+    """
+    size = poset.size
+    fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
+    nbytes = struct.calcsize(fmt)
+    unpack = struct.Struct(f">{size}{fmt}").iter_unpack
+    for piece in _label_pieces(poset, max_size, nbytes):
+        yield from unpack(piece) if piece else [()]  # no bytes: the empty poset
+
+
+def labeling_blocks(
+    poset: Poset, *, max_size: int = DEFAULT_MAX_ENUM_SIZE
+) -> Iterator[str]:
+    """Yield the labelings of :func:`enumerate_linear_extensions`, in its
+    order, as strings of at most a few hundred labelings each: a labeling
+    is size characters, ``chr(label)`` for element 0 first, then element
+    1, and so on.  A string never spans two labels of element 0, so every
+    labeling in it starts with the same character, and a caller can turn
+    a string into text with one table lookup per label.  The empty poset
+    yields one empty string, its one labeling.
+
+    Each string is decoded from the big-endian fields of
+    :func:`_label_pieces` by one codec: Latin-1 for one-byte fields,
+    UTF-16 for two-byte fields and UTF-32 for four.  Two-byte fields stop
+    below the surrogates (55 296), which UTF-16 would read in pairs as one
+    character, and UTF-32 passes them through one by one.
+    """
+    size = poset.size
+    nbytes, codec = (
+        (1, "latin-1") if size < 256
+        else (2, "utf-16-be") if size < 0xD800
+        else (4, "utf-32-be")
+    )
+    for piece in _label_pieces(poset, max_size, nbytes):
+        yield piece.decode(codec, "surrogatepass")
+
+
+def _reach(masks: list[int], v: int) -> int:
+    """The elements reached from v by one or more steps along masks (the
+    successor masks for the elements above v, the predecessor masks for
+    those below)."""
+    reached, todo = 0, masks[v]
+    while todo:
+        low = todo & -todo
+        reached |= low
+        todo = (todo | masks[low.bit_length() - 1]) & ~reached
+    return reached
+
+
+def _label_pieces(poset: Poset, max_size: int, nbytes: int) -> Iterator[bytes]:
+    """Yield every labeling once, sorted lexicographically as label
+    words, in pieces of at most ``_PIECE`` labelings: a piece is one bytes
+    holding each labeling's labels as big-endian fields of nbytes bytes,
+    element 0 first.  The empty poset yields one empty piece.
+
+    The labelings are produced one bucket at a time: bucket (a, b) holds
+    those that give element 0 the label a and element 1 the label b, and
+    every labeling in it sorts before those of any later pair, so only
+    one bucket is ever held and sorted, and no piece spans two buckets.
+    Element 0 takes only the labels from 1 + (the number of elements
+    below it) to size - (the number above it), every one of which some
+    labeling gives it, so no label is tried for an empty bucket.
 
     One recursive generator places the labels: with rest the unplaced
     elements, the next label, size + 1 - |rest|, goes to an element of
@@ -254,7 +326,7 @@ def enumerate_linear_extensions(
     for every a: the same generator run with keep = 0 from the head's
     unplaced set, all of it candidates, cached by that set.  The set is
     an up-set without element 0, so every completion agrees with the
-    pin.  A labeling is held as one int with a fixed-width field per
+    pin.  A labeling is held as one int with a field of nbytes per
     element, element 0 in the most significant field and element 1 in
     the next, so a labeling is its head's int or'ed with a completion's,
     and int order is the order of label words.  A table entry splits
@@ -275,10 +347,8 @@ def enumerate_linear_extensions(
     succs, preds = _cover_masks(poset)
     size = poset.size
     if size <= 1:
-        yield tuple(range(1, size + 1))  # () or (1,)
+        yield size.to_bytes(size * nbytes, "big")  # the one labeling, (1,) or ()
         return
-    fmt = "B" if size < 256 else "H" if size < 65536 else "I"  # a label's field
-    nbytes = struct.calcsize(fmt)
     shifts = [8 * nbytes * (size - 1 - v) for v in range(size)]
 
     def labelings(
@@ -311,9 +381,11 @@ def enumerate_linear_extensions(
             split.setdefault(code >> shifts[1], []).append(code)
         return split
 
-    decode = struct.Struct(f">{size}{fmt}").unpack  # a labeling's bytes
+    width = size * nbytes  # a labeling's bytes
     sources = sum(1 << v for v in range(size) if not preds[v])
-    for pinned in range(1, size + 1):
+    lowest = 1 + _reach(preds, 0).bit_count()  # after every element below 0
+    highest = size - _reach(succs, 0).bit_count()  # before every one above
+    for pinned in range(lowest, highest + 1):
         # the labels of elements 0 and 1 -> the heads with their completions
         groups: dict[int, list[tuple[int, list[int]]]] = {}
         for prefix, rest in labelings((1 << size) - 1, sources, _TAIL_LABELS, pinned):
@@ -325,8 +397,9 @@ def enumerate_linear_extensions(
             for prefix, codes in groups.pop(key):
                 bucket.extend(map(prefix.__or__, codes))
             bucket.sort()
-            words = map(int.to_bytes, bucket, repeat(size * nbytes), repeat("big"))
-            yield from map(decode, words)
+            for i in range(0, len(bucket), _PIECE):
+                piece = bucket[i : i + _PIECE]
+                yield b"".join(map(int.to_bytes, piece, repeat(width), repeat("big")))
 
 
 def _shrub_covers(n: int, links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:

@@ -465,6 +465,44 @@ def test_extensions_count_and_list(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "family, text, csv, payload",
+    [
+        ("A", "\n", "\n", []),
+        ("E", "1\n", "1\n", ["1"]),
+        ("B", "1  2\n", "1,2\n", ["1", "2"]),
+    ],
+)
+def test_labeling_listing_at_n_0(capsys, family, text, csv, payload):
+    # 0, 1 and 2 elements, one labeling each; A's is empty, an empty line
+    listing = ("extensions", "--family", family, "--n", "0", "--mode", "list")
+    assert run(capsys, *listing) == (0, text, "")
+    assert run(capsys, *listing, "--format", "csv") == (0, csv, "")
+    code, out, err = run(capsys, *listing, "--format", "json")
+    assert (code, json.loads(out)["payload"], err) == (0, [payload], "")
+
+
+#: Each family's poset at n.
+_BUILDERS = {
+    **{family: (lambda n, f=family: build_adjacent_poset(f, n)) for family in "AESB"},
+    "ISF": build_isf_poset,
+    "IBF": build_ibf_poset,
+    "L": build_lex_poset,
+}
+
+
+@pytest.mark.parametrize("family", list(_BUILDERS))
+def test_labeling_listing_renders_each_labeling(capsys, family):
+    # text and CSV write blocks of labelings; each line must be the
+    # labeling the tuple enumerator yields, in its order
+    for n in range(0 if family in "AESB" else 1, 4):
+        labelings = list(enumerate_linear_extensions(_BUILDERS[family](n)))
+        listing = f"extensions --family {family} --n {n} --mode list".split()
+        for fmt, sep in (("text", "  "), ("csv", ",")):
+            want = "".join(sep.join(map(str, lab)) + "\n" for lab in labelings)
+            assert run(capsys, *listing, "--format", fmt) == (0, want, "")
+
+
 @pytest.mark.parametrize("family", ["A", "E", "S", "B"])
 def test_chain_families_count_without_the_down_set_dp(capsys, monkeypatch, family):
     def no_dp(poset, **kwargs):
@@ -621,6 +659,27 @@ def test_closed_pipe_exits_0_quietly():
     finally:
         os.close(write_end)
     assert done.returncode == 0 and done.stderr == b""
+
+
+def test_closed_pipe_ends_a_labeling_listing_quietly():
+    # the reader stops after one line of a listing written a block of
+    # labelings at a time
+    argv = ["extensions", "--family", "A", "--n", "4", "--mode", "list"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shrubstat", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "1  2  3  4  5  6  7  8  9  10  11  12\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()  # no-op once it has exited
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert code == 0 and err == ""
 
 
 def test_memory_error_exits_2(capsys, monkeypatch):

@@ -59,6 +59,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(
         posets, "enumerate_linear_extensions", lambda p, max_size: iter(())
     )
+    monkeypatch.setattr(posets, "labeling_blocks", lambda p, max_size: iter(()))
     return monkeypatch
 
 

@@ -31,6 +31,7 @@ from shrubstat import (
 )
 from shrubstat import posets
 from shrubstat.posets import _TAIL_LABELS
+from shrubstat.posets import _PIECE, labeling_blocks
 
 
 def chain(k):
@@ -264,6 +265,72 @@ def test_field_width_of_a_label(monkeypatch, size, fmt):
     with pytest.raises(Sized) as sized:
         next(enumerate_linear_extensions(antichain(size)))
     assert sized.value.args == (fmt,)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256])
+def test_labeling_blocks_decode_to_the_labelings(size):
+    # one character per label: Latin-1 fields below 256 elements, UTF-16
+    # from there; element 0 is free and the others form a chain
+    poset = Poset.from_covers(size, [(i, i + 1) for i in range(1, size - 1)])
+    blocks = list(labeling_blocks(poset, max_size=size))
+    rows = [
+        tuple(map(ord, block[i : i + size]))
+        for block in blocks
+        for i in range(0, len(block), size)
+    ]
+    assert rows == list(enumerate_linear_extensions(poset, max_size=size))
+    assert len(blocks) == size  # one bucket per label of element 0
+
+
+def test_the_empty_poset_is_one_empty_block():
+    assert list(labeling_blocks(antichain(0))) == [""]
+
+
+def test_labeling_blocks_keep_surrogate_labels_apart(monkeypatch):
+    # labels 55 296 and 56 320 are a UTF-16 surrogate pair, which two-byte
+    # fields would decode as one character; the pieces are stubbed, as no
+    # poset this large can be enumerated
+    labels = (0xD800, 0xDC00)
+
+    def pieces(poset, max_size, nbytes):
+        yield b"".join(label.to_bytes(nbytes, "big") for label in labels)
+
+    monkeypatch.setattr(posets, "_label_pieces", pieces)
+    assert list(labeling_blocks(antichain(0xDC01))) == ["".join(map(chr, labels))]
+
+
+def test_a_labeling_block_holds_one_label_of_element_0():
+    poset = build_adjacent_poset("B", 3)
+    blocks = list(labeling_blocks(poset))
+    assert all(0 < len(block) <= _PIECE * poset.size for block in blocks)
+    assert all(len(set(block[:: poset.size])) == 1 for block in blocks)
+    assert sum(len(block) for block in blocks) == 74_601 * poset.size
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        build_adjacent_poset("A", 3),  # element 0 below three: labels 1 to 6
+        build_adjacent_poset("B", 2),
+        # element 0 above two: labels 3 to 9
+        Poset.from_covers(9, [(1, 0), (2, 0), (3, 4), (4, 5), (6, 7), (7, 8)]),
+    ],
+)
+def test_no_head_runs_for_a_label_element_0_never_takes(poset):
+    # a profile hook records the label each call of the head generator
+    # pins; the table of completions runs the same generator pinning 0
+    pinned = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "labelings":
+            pinned.add(frame.f_locals["pinned"])
+
+    sys.setprofile(hook)
+    try:
+        firsts = {labeling[0] for labeling in enumerate_linear_extensions(poset)}
+    finally:
+        sys.setprofile(None)
+    assert pinned - {0} == firsts
 
 
 def test_draining_holds_one_bucket_per_labels_of_elements_0_and_1():

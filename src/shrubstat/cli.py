@@ -28,7 +28,8 @@ command imports the layers it calls (and ``json`` for ``--format json``)
 when it runs.
 
 Listings stream in blocks: text and CSV write one block of walks or
-labelings per write call, JSON a batch of payload items.
+labelings per write call, and JSON one block of labelings or a batch
+of other payload items.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def _poset(family: str, n: int):
     return posets.build_adjacent_poset(family, n)  # A, E, S or B: chains
 
 
-#: JSON payload items (or lines of text or CSV) per write call; a text
-#: or CSV listing of walks or labelings writes one block per call instead.
+#: JSON payload items (or lines of text or CSV) per write call; a
+#: listing of labelings, or a text or CSV listing of walks, writes one
+#: block per call instead.
 _BATCH = 4096
 
 
@@ -123,22 +125,24 @@ def _write_chunks(chunks: Iterable[str], sep: str) -> None:
         write("\n")
 
 
-def _write_json(command: str, params: dict, payload: Iterable, ok: bool) -> None:
+def _write_json(args, chunks: Iterable[str], ok: bool) -> None:
     """Write ``json.dumps(record, sort_keys=True)`` and a newline for the
-    record holding payload, dumping one batch of payload items at a time
-    so the payload is never held whole.  The keys sort as command,
-    params, payload, status.  The first batch is pulled before anything
-    is written, so an error raised on first use leaves stdout empty."""
+    record of args whose payload is the chunks joined by ", ", one write
+    call per chunk, so the payload is never held whole: a chunk is a run
+    of payload items already dumped, as ``json.dumps(items)[1:-1]`` gives
+    them.  The keys sort as command, params, payload, status.  The first
+    chunk is pulled before anything is written, so an error raised on
+    first use leaves stdout empty."""
     import json
 
-    head = json.dumps({"command": command, "params": params}, sort_keys=True)
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    head = json.dumps({"command": args.command, "params": params}, sort_keys=True)
     tail = json.dumps({"status": "ok" if ok else "fail"})
-    batches = _batches(payload)
-    first = next(batches, [])
+    chunks = iter(chunks)
     write = sys.stdout.write
-    write(head[:-1] + ', "payload": [' + json.dumps(first)[1:-1])
-    for batch in batches:  # a dumped list without its brackets
-        write(", " + json.dumps(batch)[1:-1])
+    write(head[:-1] + ', "payload": [' + next(chunks, ""))
+    for chunk in chunks:
+        write(", " + chunk)
     write("], " + tail[1:] + "\n")
 
 
@@ -153,8 +157,10 @@ def _emit(args, payload, ok: bool = True) -> int:
     (in JSON also of strings), written as they are produced.  A JSON
     record's params are the command's parsed arguments."""
     if args.format == "json":
-        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-        _write_json(args.command, params, payload, ok)
+        import json
+
+        chunks = (json.dumps(batch)[1:-1] for batch in _batches(payload))
+        _write_json(args, chunks, ok)
     else:
         flat = isinstance(payload, list) and isinstance(payload[0], str)
         sep = "," if args.format == "csv" else ", " if flat else "  "
@@ -277,23 +283,17 @@ def cmd_extensions(args) -> int:
         payload = [str(posets.count_tree_extensions(poset))]
     elif args.mode == "count":
         payload = [str(posets.count_linear_extensions(poset, max_size=poset.size))]
-    elif args.format == "json":
-        names = [str(label) for label in range(poset.size + 1)]
-        labelings = posets.enumerate_linear_extensions(poset, max_size=poset.size)
-        payload = ([names[v] for v in labeling] for labeling in labelings)
+    elif poset.size == 0:
+        payload = [[]]  # one labeling, the empty one
     else:
-        sep = "," if args.format == "csv" else "  "
-        names = {chr(v): sep + str(v) for v in range(1, poset.size + 1)}
-
-        def lines(block: str) -> str:
-            # every labeling of a block starts with element 0's label, so
-            # that character alone starts a line; the block's first newline
-            # is dropped, as _write_chunks puts one between blocks
-            table = {**names, block[0]: "\n" + str(ord(block[0]))} if block else {}
-            return "".join([table[c] for c in block])[1:]
+        from .render import labeling_chunks
 
         blocks = posets.labeling_blocks(poset, max_size=poset.size)
-        _write_chunks(map(lines, blocks), "\n")
+        chunks = labeling_chunks(blocks, poset.size, args.format)
+        if args.format == "json":
+            _write_json(args, chunks, True)
+        else:
+            _write_chunks(chunks, "\n")
         return EXIT_OK
     return _emit(args, payload)
 

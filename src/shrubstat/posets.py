@@ -21,7 +21,7 @@ give elements 0 and 1 the same two labels.  A sorted bucket leaves in
 pieces of a few hundred labelings as bytes, which
 :func:`enumerate_linear_extensions` unpacks into tuples and
 :func:`labeling_blocks` decodes into strings of one character per
-label, for a listing to render with one table lookup per label.
+label, for a listing to render a digit column at a time.
 Counting and enumeration refuse a cover relation with a cycle, which
 :class:`graphlib.TopologicalSorter` detects.
 
@@ -69,9 +69,11 @@ from .record import Record
 _TAIL_LABELS = 6
 
 #: Labelings per piece of :func:`_label_pieces`.  Listing A at n = 4 as
-#: text, pieces of 256 labelings peaked at 16.5 MB of RSS, 1 024 at
-#: 16.7 MB and 4 096 at 17.8 MB, with no difference in CPU time
-#: above the noise (three runs each, Xeon, Python 3.11.7).
+#: text, rendered a digit column at a time, pieces of 256 labelings took
+#: a median 0.32 to 0.39 s of CPU, 1 024 took 0.31 to 0.33 s and 4 096
+#: 0.32 to 0.34 s, and they peaked at 16.5, 16.6 and 17.9 MB of RSS (two
+#: sittings of eight alternating runs, Xeon, Python 3.11.7): no size
+#: beats 256 on both.
 _PIECE = 256
 
 
@@ -264,7 +266,8 @@ def labeling_blocks(
     is size characters, ``chr(label)`` for element 0 first, then element
     1, and so on.  A string never spans two labels of element 0, so every
     labeling in it starts with the same character, and a caller can turn
-    a string into text with one table lookup per label.  The empty poset
+    a string into text with a few calls of ``str.translate`` and strided
+    slice assignments, none per label or labeling.  The empty poset
     yields one empty string, its one labeling.
 
     Each string is decoded from the big-endian fields of

@@ -28,6 +28,8 @@ from shrubstat import (
     posets,
 )
 from shrubstat.cli import build_parser, main
+from shrubstat.posets import Poset, labeling_blocks
+from shrubstat.render import labeling_chunks
 
 
 def run(capsys, *argv):
@@ -501,6 +503,58 @@ def test_labeling_listing_renders_each_labeling(capsys, family):
         for fmt, sep in (("text", "  "), ("csv", ",")):
             want = "".join(sep.join(map(str, lab)) + "\n" for lab in labelings)
             assert run(capsys, *listing, "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("size", [1, 9, 10, 99, 100, 255, 256])
+def test_labeling_chunks_past_two_digits_and_past_ascii(size):
+    # one to three digits, and labels at 128 and above (Latin-1 blocks
+    # below 256 elements, UTF-16 from there); element 0 is free and the
+    # others form a chain, so element 0 takes every label
+    poset = Poset.from_covers(size, [(i, i + 1) for i in range(1, size - 1)])
+    labelings = enumerate_linear_extensions(poset, max_size=size)
+    rows = [list(map(str, labeling)) for labeling in labelings]
+
+    def listing(fmt):
+        return list(labeling_chunks(labeling_blocks(poset, max_size=size), size, fmt))
+
+    for fmt, sep in (("text", "  "), ("csv", ",")):
+        assert "\n".join(listing(fmt)) == "\n".join(sep.join(row) for row in rows)
+    payload = "[" + ", ".join(listing("json")) + "]"
+    quoted = ("[" + ", ".join(f'"{label}"' for label in row) + "]" for row in rows)
+    assert payload == "[" + ", ".join(quoted) + "]"
+    assert payload == json.dumps(rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("size", [3, 256])
+def test_a_labeling_block_renders_in_a_fixed_number_of_steps(fmt, size):
+    # the same labeling once and 256 times: the Python-level calls (a
+    # profile hook) and lines run (a trace hook) must not grow with the
+    # block, so a step per label or per labeling fails
+    labeling = "".join(map(chr, range(1, size + 1)))
+
+    def steps(block):
+        seen = []
+
+        def hook(frame, event, arg):
+            if event != "c_return":
+                seen.append(event)
+            return hook
+
+        profile, trace = sys.getprofile(), sys.gettrace()
+        sys.setprofile(hook)
+        sys.settrace(hook)
+        try:
+            (chunk,) = labeling_chunks([block], size, fmt)
+        finally:
+            sys.settrace(trace)
+            sys.setprofile(profile)
+        return seen, chunk
+
+    one, chunk = steps(labeling)
+    many, chunks = steps(labeling * 256)
+    assert one == many and one.count("call") > 0
+    assert chunks == ("\n" if fmt != "json" else ", ").join([chunk] * 256)
 
 
 @pytest.mark.parametrize("family", ["A", "E", "S", "B"])

@@ -87,10 +87,17 @@ _WORKLOADS = [
     "bijection --n 4 --format json",
 ]
 
+# a listing with two-digit labels: 74 601 labelings of 11 elements
+_LISTINGS = [
+    f"extensions --family B --n 3 --mode list --format {fmt}"
+    for fmt in ("text", "csv", "json")
+]
+
 ARGVS = [
     *(f"{argv} --format {fmt}" for argv in _SMALL for fmt in ("text", "json", "csv")),
     *_REFUSED,
     *_WORKLOADS,
+    *_LISTINGS,
 ]
 
 

@@ -94,6 +94,19 @@ def test_only_rise_gf_loads_the_interpolation():
     assert "shrubstat.interpolation" in loaded_after(reciprocal)
 
 
+def test_only_labeling_listings_load_the_renderer():
+    # every other command leaves it uncompiled, so their start-up and
+    # peak memory do not grow with it
+    for argv in (
+        ["extensions", "--family", "A", "--n", "2", "--mode", "count"],
+        ["bijection", "--n", "1"],
+        ["coeff", "--stat", "ris", "--n", "1"],
+    ):
+        assert "shrubstat.render" not in loaded_after(_CLI.format(argv))
+    listing = ["extensions", "--family", "A", "--n", "1", "--mode", "list"]
+    assert "shrubstat.render" in loaded_after(_CLI.format(listing))
+
+
 def test_start_path_loads_only_what_it_names(baseline):
     def package_modules(code: str) -> list[str]:
         loaded = loaded_after(code) - baseline

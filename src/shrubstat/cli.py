@@ -27,9 +27,8 @@ cost: the parser is built from :mod:`shrubstat.names` alone, and each
 command imports the layers it calls (and ``json`` for ``--format json``)
 when it runs.
 
-Listings stream in blocks: text and CSV write one block of walks or
-labelings per write call, and JSON one block of labelings or a batch
-of other payload items.
+Listings stream in blocks: each format writes one block of walks or
+labelings per write call, and JSON a batch of other payload items.
 """
 
 from __future__ import annotations
@@ -230,10 +229,13 @@ def cmd_paths(args) -> int:
             chunks = (head + (sep + head).join(tails) for head, tails in blocks)
             _write_chunks(chunks, sep)
             return EXIT_OK
-        payload = (head + tail for head, tails in blocks for tail in tails)
-    else:
-        payload = [str(kreweras.count_paths(args.n))]
-    return _emit(args, payload)
+        # the same join, each walk a quoted string
+        chunks = (
+            '"' + head + ('", "' + head).join(tails) + '"' for head, tails in blocks
+        )
+        _write_json(args, chunks, True)
+        return EXIT_OK
+    return _emit(args, [str(kreweras.count_paths(args.n))])
 
 
 def cmd_bijection(args) -> int:

@@ -366,6 +366,15 @@ def test_walk_listings_match_the_library(capsys, n):
     assert code == 0 and out == "".join(w + "\n" for w in words)
 
 
+def test_walk_json_listing_matches_the_library(capsys):
+    # the CLI quotes a block of walks with one join; here each walk is dumped
+    words = [path_word(p) for p in enumerate_paths(3)]
+    code, out, _ = run(capsys, "paths", "--n", "3", "--list", "--format", "json")
+    params = {"list": True, "n": 3}
+    record = {"command": "paths", "params": params, "payload": words, "status": "ok"}
+    assert code == 0 and out == json.dumps(record, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -259,6 +260,54 @@ def test_tail_table_is_filled_at_n3():
         assert len(entry) == len(RiseKind)
         assert all(sum(count for _, count in pairs) == 80 for pairs in entry)
     assert forests._tail_counts.cache_info().currsize == 140
+
+
+def test_tail_table_holds_each_pair_value_once():
+    # the 140 entries hold 1 753 (offset, count) pairs of 80 values
+    pairs = [
+        pair
+        for r in range(7)
+        for u in range(r, 7)
+        for v in range(r, 7)
+        for column in forests._tail_counts((r, u, v))
+        for pair in column
+    ]
+    assert len(pairs) == 1753
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) == 80
+
+
+@pytest.fixture
+def tail_table():
+    """The tail table filled by the n = 3 sweep, and no sweep cached."""
+    forests._distributions(3)
+    forests._distributions.cache_clear()
+
+
+def test_sweep_reads_the_tail_table_once_per_distinct_key(tail_table, monkeypatch):
+    # the n = 4 sweep reaches 73 920 prefixes of two shrubs, which fall on
+    # 1 932 distinct keys of ranks and running counts, over all 140 ranks
+    reads = []
+    table = forests._tail_counts
+
+    def spy(key):
+        reads.append(key)
+        return table(key)
+
+    monkeypatch.setattr(forests, "_tail_counts", spy)
+    forests._distributions(4)
+    assert len(reads) <= 1932 and len(set(reads)) == 140
+
+
+def test_sweep_holds_its_distinct_keys_only(tail_table):
+    # one Counter of the 1 932 distinct keys at n = 4 (a traced peak of
+    # about 0.2 MB); a list of every prefix's key would peak at about 3 MB
+    tracemalloc.start()
+    try:
+        forests._distributions(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_tail_table_matches_object_path():
